@@ -28,7 +28,12 @@ from .instances import (
     _vertex_list,
 )
 from .interval_recon import shortest_tar_sequence, tar_distance, tj_distance, tj_sequence
-from .oracle import DEFAULT_MAX_N, oracle_connectivity_report, oracle_distance
+from .oracle import (
+    DEFAULT_MAX_N,
+    DEFAULT_REPORT_MAX_STATES,
+    oracle_connectivity_report,
+    oracle_distance,
+)
 from .reductions import isr_to_split_csr, oct_to_colorable_set, spr_to_cocomp_csr
 from .split_recon import DEFAULT_MAX_C, split_tar_reachable, split_tar_witness
 
@@ -160,9 +165,10 @@ def _cmd_verify(args):
 def _cmd_oracle(args):
     inst = parse_instance(_read(args.instance))
     if args.report:
+        cap = DEFAULT_REPORT_MAX_STATES if args.max_states is None else args.max_states
         report = oracle_connectivity_report(
             inst.representation, inst.c, inst.k, rule=inst.rule,
-            max_n=args.max_n, max_states=args.max_states)
+            max_n=args.max_n, max_states=cap)
         sizes = " ".join(str(x) for x in report.sizes)
         diameters = " ".join(str(x) for x in report.diameters)
         print(f"components: {report.components}; sizes: {sizes}; diameters: {diameters}")
@@ -269,7 +275,8 @@ def _add_oracle_flags(sub):
     sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                      help="vertex-count guard for oracle search")
     sub.add_argument("--max-states", type=int, default=None,
-                     help="cap on enumerated states")
+                     help="cap on enumerated states (default: none, or "
+                          f"{DEFAULT_REPORT_MAX_STATES} with --report)")
 
 
 def build_parser():

@@ -1,7 +1,9 @@
 """Ground-truth engine: BFS over the graph of all colorable sets.
 
 Only meant for desk-size instances; every public entry point is guarded by a
-vertex-count cap and an optional cap on the number of enumerated states.
+vertex-count cap and a cap on the number of enumerated states, which is
+optional for distances and defaults to ``DEFAULT_REPORT_MAX_STATES`` for the
+connectivity report, whose diameters take one BFS per state.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from .core import InvariantError, ResourceLimitError, adjacent_in, colorable
 from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
+DEFAULT_REPORT_MAX_STATES = 1024
 
 
 @dataclass
@@ -42,7 +45,9 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
             if size >= min_size and (exact_size is None or size == exact_size):
                 states.append(tuple(sorted(cur)))
                 if max_states is not None and len(states) > max_states:
-                    raise ResourceLimitError(f"state count exceeds {max_states}")
+                    raise ResourceLimitError(
+                        f"oracle guard: state count exceeds max_states={max_states}; "
+                        "raise max_states (--max-states) to override")
             return
         cur.add(v)
         if colorable(g_or_model, cur, c):
@@ -165,11 +170,13 @@ class ConnectivityReport:
 
 
 def oracle_connectivity_report(g_or_model, c, k, rule="tar",
-                               max_n=DEFAULT_MAX_N, max_states=None):
+                               max_n=DEFAULT_MAX_N, max_states=DEFAULT_REPORT_MAX_STATES):
     """Component count and per-component diameter of the state space.
 
     Under the swap rules the fixed set size is k.  Components are listed in
-    order of their lexicographically smallest state.
+    order of their lexicographically smallest state.  The diameters cost one
+    BFS per state, so the state count is capped by default; ``max_states=None``
+    lifts the cap.
     """
     space = build_state_space(g_or_model, c, k, rule, size=k,
                               max_n=max_n, max_states=max_states)

@@ -5,6 +5,15 @@ that depends only on its clique-side part, so reachability collapses to a
 path search on the graph whose nodes are small clique-side subsets and whose
 edges join C to C+v exactly when the larger extension has a vertex to spare
 above the size floor.
+
+Extension sizes are arithmetic on bitmasks: each clique vertex x carries an
+int holding the independent vertices adjacent to x, so
+|T(C)| = |C| + |I| below the budget and |C| + |I| - popcount(AND of the
+masks of C) at it.  Reachability and witnesses run one breadth-first search
+from the source node that generates neighbours on demand and stops as soon
+as the target node is discovered; extensions are materialised only along
+the witness path.  ``build_meta_graph`` materialises the whole graph on the
+same rules, for inspection only.
 """
 from __future__ import annotations
 
@@ -50,6 +59,68 @@ def t_set(model, base, c):
     return TSet(base, frozenset(members))
 
 
+class _MetaRule:
+    """Node sizes and neighbours of the meta-graph for one (model, c, k).
+
+    Nodes are sorted tuples of clique vertices; C is a node when |T(C)| >= k,
+    and C joins every C-v when |T(C)| >= k+1.
+    """
+
+    def __init__(self, model, c, k):
+        ind = model.independent_part
+        nbrs = model.graph.neighbor_sets
+        self.kside = sorted(model.clique_part)
+        self.masks = {x: sum(1 << u for u in nbrs[x] & ind) for x in self.kside}
+        self.all_ind = sum(1 << u for u in ind)
+        self.n_ind = len(ind)
+        self.c = c
+        self.k = k
+
+    def common(self, base):
+        """The independent vertices adjacent to every vertex of C, as a mask."""
+        mask = self.all_ind
+        for x in base:
+            mask &= self.masks[x]
+        return mask
+
+    def size(self, count, common):
+        """|T(C)| for |C| = count; ``common`` is read only at the budget."""
+        if count < self.c:
+            return count + self.n_ind
+        return count + self.n_ind - common.bit_count()
+
+    def node_size(self, base):
+        return self.size(len(base), self.common(base) if len(base) == self.c else 0)
+
+    def neighbours(self, base):
+        """Neighbours of node C in ascending meta-graph index order.
+
+        First C-v in lexicographic order (v from last to first), then C+v by
+        ascending v, which is the order of ``build_meta_graph``'s adjacency.
+        """
+        count = len(base)
+        if count and self.node_size(base) > self.k:
+            for i in range(count - 1, -1, -1):
+                yield base[:i] + base[i + 1:]
+        if count == self.c:
+            return
+        common = self.common(base) if count + 1 == self.c else 0
+        masks = self.masks
+        pos = 0
+        for v in self.kside:
+            if pos < count and base[pos] == v:
+                pos += 1
+            elif self.size(count + 1, common & masks[v]) > self.k:
+                yield base[:pos] + (v,) + base[pos:]
+
+
+def _check_budget(c, max_c):
+    if c > max_c:
+        raise ResourceLimitError(
+            f"c={c} exceeds cap {max_c}: construction cost grows as O(n^(c+1)); "
+            "raise max_c to override")
+
+
 @dataclass
 class MetaGraph:
     """Nodes are canonical (sorted-tuple) clique-side subsets carrying their extensions."""
@@ -65,34 +136,25 @@ def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
 
     C is adjacent to every subset C-v as soon as its own extension exceeds
     the floor; node and edge counts stay within sum_{i<=c} (|K| choose i).
+    The whole graph is materialised, with every extension, for inspection;
+    reachability and witnesses search it lazily instead.
     """
-    if c > max_c:
-        raise ResourceLimitError(
-            f"c={c} exceeds cap {max_c}: construction cost grows as O(n^(c+1)); "
-            "raise max_c to override")
-    kside = sorted(model.clique_part)
-    nodes = []
-    tsets = []
-    index = {}
-    for size in range(0, min(c, len(kside)) + 1):
-        for combo in combinations(kside, size):
-            ts = t_set(model, combo, c)
-            if ts.size >= k:
-                index[combo] = len(nodes)
-                nodes.append(combo)
-                tsets.append(ts)
+    _check_budget(c, max_c)
+    rule = _MetaRule(model, c, k)
+    nodes = [combo for size in range(min(c, len(rule.kside)) + 1)
+             for combo in combinations(rule.kside, size) if rule.node_size(combo) >= k]
+    index = {combo: i for i, combo in enumerate(nodes)}
     adj = [[] for _ in nodes]
     for i, combo in enumerate(nodes):
-        if not combo or tsets[i].size < k + 1:
+        if not combo or rule.node_size(combo) < k + 1:
             continue
         for v in combo:
-            j = index.get(tuple(x for x in combo if x != v))
-            if j is not None:
-                adj[i].append(j)
-                adj[j].append(i)
+            j = index[tuple(x for x in combo if x != v)]
+            adj[i].append(j)
+            adj[j].append(i)
     for lst in adj:
         lst.sort()
-    return MetaGraph(nodes, tsets, adj, index)
+    return MetaGraph(nodes, [t_set(model, combo, c) for combo in nodes], adj, index)
 
 
 def _check_inputs(model, c, start, target, k):
@@ -111,25 +173,31 @@ def _check_inputs(model, c, start, target, k):
             raise InvariantError(f"{name} is not {c}-colorable")
 
 
-def _meta_path(meta, start, target, model):
-    src = meta.index[tuple(sorted(start & model.clique_part))]
-    dst = meta.index[tuple(sorted(target & model.clique_part))]
+def _meta_path(model, c, k, start, target):
+    """Meta-graph nodes from S's clique part to S2's, breadth first, or None."""
+    src = tuple(sorted(start & model.clique_part))
+    dst = tuple(sorted(target & model.clique_part))
     parent = {src: None}
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        if i == dst:
-            path = []
-            while i is not None:
-                path.append(i)
-                i = parent[i]
-            path.reverse()
-            return path
-        for j in meta.adj[i]:
-            if j not in parent:
-                parent[j] = i
-                queue.append(j)
-    return None
+    if src != dst:
+        rule = _MetaRule(model, c, k)
+        queue = deque([src])
+        while dst not in parent:
+            if not queue:
+                return None
+            node = queue.popleft()
+            for nxt in rule.neighbours(node):
+                if nxt not in parent:
+                    parent[nxt] = node
+                    if nxt == dst:
+                        break
+                    queue.append(nxt)
+    path = []
+    node = dst
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()
+    return path
 
 
 def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
@@ -139,8 +207,8 @@ def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     _check_inputs(model, c, start, target, k)
     if start == target:
         return True
-    meta = build_meta_graph(model, c, k, max_c=max_c)
-    return _meta_path(meta, start, target, model) is not None
+    _check_budget(c, max_c)
+    return _meta_path(model, c, k, start, target) is not None
 
 
 def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
@@ -155,21 +223,20 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     _check_inputs(model, c, start, target, k)
     if start == target:
         return ReconSequence(set(start), [])
-    meta = build_meta_graph(model, c, k, max_c=max_c)
-    path = _meta_path(meta, start, target, model)
+    _check_budget(c, max_c)
+    path = _meta_path(model, c, k, start, target)
     if path is None:
         return None
+    tsets = [t_set(model, node, c) for node in path]
     steps = []
     cur = set(start)
-    for v in sorted(meta.tsets[path[0]].members - cur):
+    for v in sorted(tsets[0].members - cur):
         steps.append(("+", v))
         cur.add(v)
-    for a, b in zip(path, path[1:]):
-        base_a = meta.tsets[a].base
-        base_b = meta.tsets[b].base
-        t_b = meta.tsets[b].members
-        if len(base_b) > len(base_a):
-            (v,) = base_b - base_a
+    for a, b in zip(tsets, tsets[1:]):
+        t_b = b.members
+        if len(b.base) > len(a.base):
+            (v,) = b.base - a.base
             mid = t_b - {v}
             for u in sorted(cur - mid):
                 steps.append(("-", u))
@@ -177,7 +244,7 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
             steps.append(("+", v))
             cur.add(v)
         else:
-            (v,) = base_a - base_b
+            (v,) = a.base - b.base
             steps.append(("-", v))
             cur.remove(v)
             for u in sorted(t_b - cur):

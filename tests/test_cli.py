@@ -129,6 +129,31 @@ def test_oracle_report(tmp_path, capsys):
     assert code == 0 and out == "components: 2; sizes: 1 1; diameters: 0 0"
 
 
+def test_oracle_report_state_cap(tmp_path, capsys):
+    # 2^11 colorable sets on the edgeless graph: over the default report cap
+    edgeless = _write(tmp_path, "e11.csr", """\
+format: csr/1
+rule: tar
+c: 1
+k: 0
+repr: edges
+n: 11
+body:
+0
+S:
+S2:
+""")
+    code = main(["oracle", edgeless, "--report"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "oracle guard" in captured.err and "max_states=1024" in captured.err
+    assert "--max-states" in captured.err
+    # an explicit --max-states replaces the default cap
+    e2 = _write(tmp_path, "e2.csr", E2)
+    assert main(["oracle", e2, "--report", "--max-states", "1"]) == 2
+    assert "max_states=1" in capsys.readouterr().err
+
+
 def test_verify_command(tmp_path, capsys):
     inst = _write(tmp_path, "e1.csr", E1)
     good = _write(tmp_path, "good.seq", "start: 0\n+2\n-0\n")

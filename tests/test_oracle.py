@@ -68,6 +68,14 @@ def test_state_cap():
         oracle_distance(g, 1, set(), set(), k=0, rule="tar", max_states=5)
 
 
+def test_report_state_cap_by_default():
+    # one BFS per state for the diameters: 2^11 states are refused unless asked for
+    with pytest.raises(ResourceLimitError, match="max_states=1024"):
+        oracle_connectivity_report(Graph(11), 1, 0, rule="tar")
+    report = oracle_connectivity_report(Graph(10), 1, 0, rule="tar")
+    assert report.sizes == [1024] and report.diameters == [10]
+
+
 def test_connectivity_report_examples(e2_model):
     report = oracle_connectivity_report(e2_model, 1, 1, rule="tar")
     assert report.components == 2 and report.sizes == [1, 1]
