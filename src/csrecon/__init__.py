@@ -14,6 +14,7 @@ from .core import (
     ResourceLimitError,
     SplitModel,
     adjacent_in,
+    check_sets,
     colorable,
     is_colorable_clique_bound,
     is_colorable_exact,

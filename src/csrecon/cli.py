@@ -10,6 +10,7 @@ import argparse
 import math
 import random
 import sys
+from functools import partial
 
 from .core import FormatError, IntervalModel, InvariantError, ResourceLimitError, SplitModel
 from .generators import (
@@ -53,8 +54,6 @@ def _write(path, text):
 
 
 def _emit_sequence(args, seq):
-    if not getattr(args, "emit_sequence", False):
-        return
     if not args.out:
         raise InvariantError("--emit-sequence requires --out")
     _write(args.out, render_sequence(seq))
@@ -75,10 +74,11 @@ def _solve_oracle(inst, args, emit):
     return EXIT_OK
 
 
-def _cmd_solve(args, emit=True):
+def _cmd_solve(args, split=True):
+    """Answer one instance; with ``split=False`` split instances go to the oracle."""
     inst = parse_instance(_read(args.instance))
     rep = inst.representation
-    emit = emit and getattr(args, "emit_sequence", False)
+    emit = getattr(args, "emit_sequence", False)
     if isinstance(rep, IntervalModel) and inst.rule == "tar":
         verdict = tar_distance(rep, inst.c, inst.start, inst.target, inst.k)
         if verdict.distance == math.inf:
@@ -98,10 +98,8 @@ def _cmd_solve(args, emit=True):
         if emit:
             _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target))
         return EXIT_OK
-    if isinstance(rep, SplitModel) and inst.rule in ("tar", "tj"):
+    if split and isinstance(rep, SplitModel) and inst.rule in ("tar", "tj"):
         if inst.rule == "tj":
-            if len(inst.start) != len(inst.target):
-                raise InvariantError("size mismatch: |S| must equal |S2| under tj")
             if inst.start == inst.target:
                 print("reachable")
                 return EXIT_OK
@@ -127,27 +125,6 @@ def _cmd_solve(args, emit=True):
         return EXIT_UNREACHABLE
     # token sliding and plain edge lists go to the guarded oracle
     return _solve_oracle(inst, args, emit)
-
-
-def _cmd_distance(args):
-    inst = parse_instance(_read(args.instance))
-    rep = inst.representation
-    if isinstance(rep, IntervalModel) and inst.rule == "tar":
-        verdict = tar_distance(rep, inst.c, inst.start, inst.target, inst.k)
-        if verdict.distance == math.inf:
-            print("unreachable (locked)")
-            return EXIT_UNREACHABLE
-        print(verdict.distance)
-        return EXIT_OK
-    if isinstance(rep, IntervalModel) and inst.rule == "tj":
-        dist = tj_distance(rep, inst.c, inst.start, inst.target)
-        if dist == math.inf:
-            print("unreachable")
-            return EXIT_UNREACHABLE
-        print(dist)
-        return EXIT_OK
-    # shortest distances on split graphs are only available at oracle scale
-    return _solve_oracle(inst, args, emit=False)
 
 
 def _cmd_verify(args):
@@ -297,7 +274,8 @@ def build_parser():
     distance.add_argument("instance")
     distance.add_argument("--max-c", type=int, default=DEFAULT_MAX_C)
     _add_oracle_flags(distance)
-    distance.set_defaults(func=_cmd_distance)
+    # shortest distances on split graphs are only available at oracle scale
+    distance.set_defaults(func=partial(_cmd_solve, split=False))
 
     verify = subs.add_parser("verify", help="replay a sequence against an instance")
     verify.add_argument("instance")

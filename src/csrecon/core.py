@@ -296,6 +296,117 @@ def colorable(g_or_model, members, c, limit=64):
     return is_colorable_exact(g_or_model, members, c, limit=limit)
 
 
+def check_set_bounds(rep, c, start, target, k):
+    """The structural half of ``check_sets``: budgets, vertex range and sizes.
+
+    Raise InvariantError naming the first violation; colorability is left to
+    the caller.
+    """
+    if c < 1:
+        raise InvariantError("color budget c must be at least 1")
+    if k < 0:
+        raise InvariantError("threshold k must be nonnegative")
+    n = rep.n
+    for name, s in (("S", start), ("S2", target)):
+        for v in s:
+            if not 0 <= v < n:
+                raise InvariantError(f"{name}: vertex {v} out of range")
+    if len(start) < k or len(target) < k:
+        raise InvariantError("threshold violated: |S| and |S2| must be at least k")
+
+
+def check_sets(rep, c, start, target, k, same_size=False):
+    """Raise InvariantError naming the first violated precondition on (c, k, S, S2).
+
+    Checks c >= 1, k >= 0, the vertex range, |S|, |S2| >= k, that both sets
+    are c-colorable and, with ``same_size``, that |S| = |S2|.
+    """
+    check_set_bounds(rep, c, start, target, k)
+    for name, s in (("S", start), ("S2", target)):
+        if not colorable(rep, s, c):
+            raise InvariantError(f"{name} is not {c}-colorable")
+    if same_size and len(start) != len(target):
+        raise InvariantError("size mismatch: |S| must equal |S2| under tj/ts")
+
+
+class _IntervalTracker:
+    """Incremental clique counts so replay costs O(span) per step."""
+
+    def __init__(self, model, members, c):
+        self.spans = model.spans
+        self.c = c
+        self.counts = interval_clique_counts(model, members)
+
+    def can_add(self, v):
+        l, r = self.spans[v]
+        counts = self.counts
+        c = self.c
+        return all(counts[i] < c for i in range(l - 1, r))
+
+    def add(self, v):
+        l, r = self.spans[v]
+        for i in range(l - 1, r):
+            self.counts[i] += 1
+
+    def remove(self, v):
+        l, r = self.spans[v]
+        for i in range(l - 1, r):
+            self.counts[i] -= 1
+
+
+class _SplitTracker:
+    def __init__(self, model, members, c):
+        self.clique_part = model.clique_part
+        self.nbrs = model.graph.neighbor_sets
+        self.c = c
+        self.chosen = set(members) & model.clique_part
+        self.ind = set(members) & model.independent_part
+
+    def can_add(self, v):
+        nbrs = self.nbrs
+        if v in self.clique_part:
+            grown = self.chosen | {v}
+            if len(grown) > self.c:
+                return False
+            if len(grown) == self.c:
+                return not any(grown <= nbrs[u] for u in self.ind)
+            return True
+        if len(self.chosen) == self.c and self.chosen <= nbrs[v]:
+            return False
+        return True
+
+    def add(self, v):
+        (self.chosen if v in self.clique_part else self.ind).add(v)
+
+    def remove(self, v):
+        (self.chosen if v in self.clique_part else self.ind).discard(v)
+
+
+class _ExactTracker:
+    def __init__(self, g, members, c):
+        self.g = g
+        self.c = c
+        self.members = set(members)
+
+    def can_add(self, v):
+        return is_colorable_exact(self.g, self.members | {v}, self.c)
+
+    def add(self, v):
+        self.members.add(v)
+
+    def remove(self, v):
+        self.members.discard(v)
+
+
+def make_tracker(rep, members, c):
+    """Incremental "can v be added?" for a colorable set of ``rep``, per representation."""
+    if isinstance(rep, IntervalModel):
+        return _IntervalTracker(rep, members, c)
+    if isinstance(rep, SplitModel):
+        return _SplitTracker(rep, members, c)
+    return _ExactTracker(rep, members, c)
+
+
 def adjacent_in(g_or_model, u, v):
     if isinstance(g_or_model, IntervalModel):
         return g_or_model.adjacent(u, v)

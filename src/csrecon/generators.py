@@ -1,7 +1,7 @@
 """Seeded random instances for tests, benchmarks, and the gen command."""
 from __future__ import annotations
 
-from .core import Graph, SplitModel, model_from_intervals
+from .core import Graph, SplitModel, make_tracker, model_from_intervals
 from .instances import Instance, check_instance
 
 
@@ -21,49 +21,25 @@ def random_endpoints(rng, n, coord_max=None, max_len=None):
     return endpoints
 
 
-def greedy_interval_set(model, c, rng, target=None):
-    """Random colorable set by greedy extension in a shuffled order."""
-    order = list(range(model.n))
+def greedy_set(rep, c, rng, target=None):
+    """Random colorable set by greedy extension in a shuffled order; maximal without a target."""
+    order = list(range(rep.n))
     rng.shuffle(order)
     if target is None:
-        target = model.n
-    counts = [0] * model.t
+        target = rep.n
+    tracker = make_tracker(rep, (), c)
     chosen = set()
-    spans = model.spans
     for v in order:
         if len(chosen) >= target:
             break
-        l, r = spans[v]
-        if all(counts[i] < c for i in range(l - 1, r)):
+        if tracker.can_add(v):
+            tracker.add(v)
             chosen.add(v)
-            for i in range(l - 1, r):
-                counts[i] += 1
     return chosen
 
 
-def greedy_split_set(model, c, rng, target=None):
-    order = list(range(model.n))
-    rng.shuffle(order)
-    if target is None:
-        target = model.n
-    nbrs = model.graph.neighbor_sets
-    chosen_k = set()
-    chosen_i = set()
-    for v in order:
-        if len(chosen_k) + len(chosen_i) >= target:
-            break
-        if v in model.clique_part:
-            grown = chosen_k | {v}
-            if len(grown) > c:
-                continue
-            if len(grown) == c and any(grown <= nbrs[u] for u in chosen_i):
-                continue
-            chosen_k = grown
-        else:
-            if len(chosen_k) == c and chosen_k <= nbrs[v]:
-                continue
-            chosen_i.add(v)
-    return chosen_k | chosen_i
+# the per-representation names predate greedy_set and are still imported
+greedy_interval_set = greedy_split_set = _greedy_graph_set = greedy_set
 
 
 def random_split_model(rng, n, p=0.5):
@@ -95,58 +71,30 @@ def _equalize(rng, a, b):
         b.remove(rng.choice(sorted(b)))
 
 
+def _random_instance(rng, rep, c, rule, k, endpoints=None):
+    """Draw S and S2 greedily, equalize them under tj/ts, clamp k, and validate."""
+    n = rep.n
+    start = greedy_set(rep, c, rng, target=rng.randint(0, n))
+    target = greedy_set(rep, c, rng, target=rng.randint(0, n))
+    if rule in ("tj", "ts"):
+        _equalize(rng, start, target)
+    cap = min(len(start), len(target))
+    k = rng.randint(0, cap) if k is None else min(k, cap)
+    inst = Instance(rep, rule, c, k, start, target, endpoints=endpoints)
+    check_instance(inst)
+    return inst
+
+
 def random_interval_instance(rng, n, c, rule="tar", k=None,
                              coord_max=None, max_len=None):
     endpoints = random_endpoints(rng, n, coord_max=coord_max, max_len=max_len)
     model = model_from_intervals(endpoints)
-    start = greedy_interval_set(model, c, rng, target=rng.randint(0, n))
-    target = greedy_interval_set(model, c, rng, target=rng.randint(0, n))
-    if rule in ("tj", "ts"):
-        _equalize(rng, start, target)
-    cap = min(len(start), len(target))
-    k = rng.randint(0, cap) if k is None else min(k, cap)
-    inst = Instance(model, rule, c, k, start, target, endpoints=endpoints)
-    check_instance(inst)
-    return inst
+    return _random_instance(rng, model, c, rule, k, endpoints=endpoints)
 
 
 def random_split_instance(rng, n, c, rule="tar", k=None, p=0.5):
-    model = random_split_model(rng, n, p=p)
-    start = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-    target = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-    if rule in ("tj", "ts"):
-        _equalize(rng, start, target)
-    cap = min(len(start), len(target))
-    k = rng.randint(0, cap) if k is None else min(k, cap)
-    inst = Instance(model, rule, c, k, start, target)
-    check_instance(inst)
-    return inst
+    return _random_instance(rng, random_split_model(rng, n, p=p), c, rule, k)
 
 
 def random_edges_instance(rng, n, c, rule="tar", k=None, p=0.4):
-    g = random_graph(rng, n, p=p)
-    start = _greedy_graph_set(g, c, rng, target=rng.randint(0, n))
-    target = _greedy_graph_set(g, c, rng, target=rng.randint(0, n))
-    if rule in ("tj", "ts"):
-        _equalize(rng, start, target)
-    cap = min(len(start), len(target))
-    k = rng.randint(0, cap) if k is None else min(k, cap)
-    inst = Instance(g, rule, c, k, start, target)
-    check_instance(inst)
-    return inst
-
-
-def _greedy_graph_set(g, c, rng, target=None):
-    from .core import is_colorable_exact
-
-    order = list(range(g.n))
-    rng.shuffle(order)
-    if target is None:
-        target = g.n
-    chosen = set()
-    for v in order:
-        if len(chosen) >= target:
-            break
-        if is_colorable_exact(g, chosen | {v}, c):
-            chosen.add(v)
-    return chosen
+    return _random_instance(rng, random_graph(rng, n, p=p), c, rule, k)

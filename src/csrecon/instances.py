@@ -10,8 +10,8 @@ from .core import (
     InvariantError,
     SplitModel,
     adjacent_in,
-    colorable,
-    interval_clique_counts,
+    check_sets,
+    make_tracker,
     model_from_intervals,
 )
 
@@ -70,24 +70,10 @@ class VerifyResult:
 
 def check_instance(inst):
     """Raise InvariantError naming the first violated instance invariant."""
-    n = inst.n
     if inst.rule not in RULES:
         raise InvariantError(f"unknown rule '{inst.rule}'")
-    if inst.c < 1:
-        raise InvariantError("color budget c must be at least 1")
-    if inst.k < 0:
-        raise InvariantError("threshold k must be nonnegative")
-    for name, s in (("S", inst.start), ("S2", inst.target)):
-        for v in s:
-            if not 0 <= v < n:
-                raise InvariantError(f"{name}: vertex {v} out of range")
-    if len(inst.start) < inst.k or len(inst.target) < inst.k:
-        raise InvariantError("threshold violated: |S| and |S2| must be at least k")
-    for name, s in (("S", inst.start), ("S2", inst.target)):
-        if not colorable(inst.representation, s, inst.c):
-            raise InvariantError(f"{name} is not {inst.c}-colorable")
-    if inst.rule in ("tj", "ts") and len(inst.start) != len(inst.target):
-        raise InvariantError("size mismatch: |S| must equal |S2| under tj/ts")
+    check_sets(inst.representation, inst.c, inst.start, inst.target, inst.k,
+               same_size=inst.rule in ("tj", "ts"))
 
 
 def _clean(line):
@@ -190,6 +176,17 @@ def parse_document(text):
         pos += count
         return chunk
 
+    def read_graph():
+        (entry,) = take(1, "edge count")
+        m = _int(entry[1], "edge count", entry[0])
+        edges = []
+        for e in take(m, "edges"):
+            u, v, lineno = _int_pair(e, "edge")
+            if not (0 <= u < n and 0 <= v < n):
+                raise FormatError(f"edge vertex out of range: {u} {v}", lineno)
+            edges.append((u, v))
+        return Graph(n, edges)
+
     endpoints = None
     try:
         if kind == "intervals":
@@ -201,30 +198,14 @@ def parse_document(text):
                 endpoints.append((l, r))
             representation = model_from_intervals(endpoints)
         elif kind == "edges":
-            (entry,) = take(1, "edge count")
-            m = _int(entry[1], "edge count", entry[0])
-            edges = []
-            for e in take(m, "edges"):
-                u, v, lineno = _int_pair(e, "edge")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise FormatError(f"edge vertex out of range: {u} {v}", lineno)
-                edges.append((u, v))
-            representation = Graph(n, edges)
+            representation = read_graph()
         else:
             (entry,) = take(1, "clique part")
             key, val, lineno = _kv(entry)
             if key != "K":
                 raise FormatError("split body must start with 'K: ...'", lineno)
             kpart = _vertex_list(val, lineno)
-            (entry,) = take(1, "edge count")
-            m = _int(entry[1], "edge count", entry[0])
-            edges = []
-            for e in take(m, "edges"):
-                u, v, lineno = _int_pair(e, "edge")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise FormatError(f"edge vertex out of range: {u} {v}", lineno)
-                edges.append((u, v))
-            g = Graph(n, edges)
+            g = read_graph()
             representation = SplitModel(g, kpart, set(range(n)) - set(kpart))
     except InvariantError as exc:
         raise FormatError(str(exc)) from exc
@@ -285,13 +266,11 @@ def render_instance(inst):
     if inst.repr_kind == "intervals":
         endpoints = inst.endpoints if inst.endpoints is not None else rep.spans
         out.extend(f"{l} {r}" for l, r in endpoints)
-    elif inst.repr_kind == "edges":
-        edges = sorted(rep.edges())
-        out.append(str(len(edges)))
-        out.extend(f"{u} {v}" for u, v in edges)
     else:
-        out.append(_set_line("K", rep.clique_part))
-        edges = sorted(rep.graph.edges())
+        if inst.repr_kind == "split":
+            out.append(_set_line("K", rep.clique_part))
+            rep = rep.graph
+        edges = sorted(rep.edges())
         out.append(str(len(edges)))
         out.extend(f"{u} {v}" for u, v in edges)
     out.append(_set_line("S", inst.start))
@@ -338,81 +317,6 @@ def parse_sequence(text):
     return ReconSequence(start, steps)
 
 
-class _IntervalTracker:
-    """Incremental clique counts so replay costs O(span) per step."""
-
-    def __init__(self, model, members, c):
-        self.model = model
-        self.c = c
-        self.counts = interval_clique_counts(model, members)
-
-    def can_add(self, v):
-        l, r = self.model.spans[v]
-        counts = self.counts
-        return all(counts[i] < self.c for i in range(l - 1, r))
-
-    def add(self, v):
-        l, r = self.model.spans[v]
-        for i in range(l - 1, r):
-            self.counts[i] += 1
-
-    def remove(self, v):
-        l, r = self.model.spans[v]
-        for i in range(l - 1, r):
-            self.counts[i] -= 1
-
-
-class _SplitTracker:
-    def __init__(self, model, members, c):
-        self.model = model
-        self.c = c
-        self.chosen = set(members) & model.clique_part
-        self.ind = set(members) & model.independent_part
-
-    def can_add(self, v):
-        nbrs = self.model.graph.neighbor_sets
-        if v in self.model.clique_part:
-            grown = self.chosen | {v}
-            if len(grown) > self.c:
-                return False
-            if len(grown) == self.c:
-                return not any(grown <= nbrs[u] for u in self.ind)
-            return True
-        if len(self.chosen) == self.c and self.chosen <= nbrs[v]:
-            return False
-        return True
-
-    def add(self, v):
-        (self.chosen if v in self.model.clique_part else self.ind).add(v)
-
-    def remove(self, v):
-        (self.chosen if v in self.model.clique_part else self.ind).discard(v)
-
-
-class _ExactTracker:
-    def __init__(self, g, members, c):
-        self.g = g
-        self.c = c
-        self.members = set(members)
-
-    def can_add(self, v):
-        return colorable(self.g, self.members | {v}, self.c)
-
-    def add(self, v):
-        self.members.add(v)
-
-    def remove(self, v):
-        self.members.discard(v)
-
-
-def _tracker(representation, members, c):
-    if isinstance(representation, IntervalModel):
-        return _IntervalTracker(representation, members, c)
-    if isinstance(representation, SplitModel):
-        return _SplitTracker(representation, members, c)
-    return _ExactTracker(representation, members, c)
-
-
 def verify_sequence(inst, seq):
     """Replay a sequence against an instance, checking every rule condition.
 
@@ -424,7 +328,7 @@ def verify_sequence(inst, seq):
         return VerifyResult(False, None, "start set does not match S")
     n = inst.n
     cur = set(seq.start)
-    tracker = _tracker(inst.representation, cur, inst.c)
+    tracker = make_tracker(inst.representation, cur, inst.c)
     tar = inst.rule == "tar"
     for i, step in enumerate(seq.steps):
         kind = step[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InvariantError, interval_clique_counts
+from .core import InvariantError, check_set_bounds, interval_clique_counts
 from .instances import ReconSequence
 
 IDENTICAL = "identical"
@@ -107,25 +107,11 @@ def is_locked_within(model, members, k, c, within):
     return _first_addable(model, pref, members, candidates=set(within) - set(members)) is None
 
 
-def _check_inputs(model, c, start, target, k):
-    if c < 1:
-        raise InvariantError("color budget c must be at least 1")
-    if k < 0:
-        raise InvariantError("threshold k must be nonnegative")
-    n = model.n
-    for name, s in (("S", start), ("S2", target)):
-        for v in s:
-            if not 0 <= v < n:
-                raise InvariantError(f"{name}: vertex {v} out of range")
-        if len(s) < k:
-            raise InvariantError(f"threshold violated: |{name}| < k")
-
-
 def tar_distance(model, c, start, target, k):
     """Exact TAR(k) distance, with the structural case tag and witnesses."""
     start = set(start)
     target = set(target)
-    _check_inputs(model, c, start, target, k)
+    check_set_bounds(model, c, start, target, k)
     counts_a = profile(model, start)
     if any(a > c for a in counts_a):
         raise InvariantError(f"S is not {c}-colorable")

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .core import InvariantError, ResourceLimitError, adjacent_in, colorable
+from .core import InvariantError, ResourceLimitError, adjacent_in, check_sets, colorable
 from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
@@ -32,27 +32,32 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
     """All colorable vertex sets, by recursive extension with pruning.
 
     Colorable sets are closed under taking subsets, so pruning a vertex whose
-    addition breaks colorability never loses a set.  Results come back as
+    addition breaks colorability never loses a set.  A branch is also cut as
+    soon as it can no longer reach the size floor, and never grows past the
+    exact size, so a floor that filters out most sets prunes most of the
+    search too.  Results come back as
     sorted tuples in lexicographic order.
     """
     n = g_or_model.n
     states = []
     cur = set()
+    floor = min_size if exact_size is None else max(min_size, exact_size)
 
     def extend(v):
-        if v == n:
-            size = len(cur)
-            if size >= min_size and (exact_size is None or size == exact_size):
-                states.append(tuple(sorted(cur)))
-                if max_states is not None and len(states) > max_states:
-                    raise ResourceLimitError(
-                        f"oracle guard: state count exceeds max_states={max_states}; "
-                        "raise max_states (--max-states) to override")
+        if len(cur) + n - v < floor:
             return
-        cur.add(v)
-        if colorable(g_or_model, cur, c):
-            extend(v + 1)
-        cur.discard(v)
+        if v == n:
+            states.append(tuple(sorted(cur)))
+            if max_states is not None and len(states) > max_states:
+                raise ResourceLimitError(
+                    f"oracle guard: state count exceeds max_states={max_states}; "
+                    "raise max_states (--max-states) to override")
+            return
+        if exact_size is None or len(cur) < exact_size:
+            cur.add(v)
+            if colorable(g_or_model, cur, c):
+                extend(v + 1)
+            cur.discard(v)
         extend(v + 1)
 
     extend(0)
@@ -121,16 +126,9 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     Returns ``(distance, sequence_or_None)``; distance is ``math.inf`` when
     the two sets lie in different components.
     """
+    check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
     start_t = tuple(sorted(start))
     target_t = tuple(sorted(target))
-    for name, s in (("S", start_t), ("S2", target_t)):
-        if not colorable(g_or_model, set(s), c):
-            raise InvariantError(f"{name} is not {c}-colorable")
-    if rule == "tar":
-        if len(start_t) < k or len(target_t) < k:
-            raise InvariantError("threshold violated: |S| and |S2| must be at least k")
-    elif len(start_t) != len(target_t):
-        raise InvariantError("size mismatch: |S| must equal |S2| under tj/ts")
     space = build_state_space(g_or_model, c, k, rule, size=len(start_t),
                               max_n=max_n, max_states=max_states)
     src = space.index[start_t]

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InvariantError, ResourceLimitError, is_colorable_clique_bound
+from .core import InvariantError, ResourceLimitError, check_sets
 from .instances import ReconSequence
 
 DEFAULT_MAX_C = 3
@@ -157,22 +157,6 @@ def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
     return MetaGraph(nodes, [t_set(model, combo, c) for combo in nodes], adj, index)
 
 
-def _check_inputs(model, c, start, target, k):
-    if c < 1:
-        raise InvariantError("color budget c must be at least 1")
-    if k < 0:
-        raise InvariantError("threshold k must be nonnegative")
-    n = model.n
-    for name, s in (("S", start), ("S2", target)):
-        for v in s:
-            if not 0 <= v < n:
-                raise InvariantError(f"{name}: vertex {v} out of range")
-        if len(s) < k:
-            raise InvariantError(f"threshold violated: |{name}| < k")
-        if not is_colorable_clique_bound(model, s, c):
-            raise InvariantError(f"{name} is not {c}-colorable")
-
-
 def _meta_path(model, c, k, start, target):
     """Meta-graph nodes from S's clique part to S2's, breadth first, or None."""
     src = tuple(sorted(start & model.clique_part))
@@ -204,7 +188,7 @@ def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     """Decide TAR(k) reachability between two colorable sets of a split graph."""
     start = set(start)
     target = set(target)
-    _check_inputs(model, c, start, target, k)
+    check_sets(model, c, start, target, k)
     if start == target:
         return True
     _check_budget(c, max_c)
@@ -220,7 +204,7 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     """
     start = set(start)
     target = set(target)
-    _check_inputs(model, c, start, target, k)
+    check_sets(model, c, start, target, k)
     if start == target:
         return ReconSequence(set(start), [])
     _check_budget(c, max_c)

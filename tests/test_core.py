@@ -11,12 +11,13 @@ from csrecon import (
     InvariantError,
     ResourceLimitError,
     SplitModel,
+    colorable,
     is_colorable_clique_bound,
     is_colorable_exact,
     model_from_intervals,
     split_partition,
 )
-from csrecon.generators import random_endpoints, random_split_model
+from csrecon.generators import greedy_set, random_endpoints, random_graph, random_split_model
 
 from conftest import (
     all_graphs,
@@ -227,3 +228,17 @@ def test_model_invariants_adversarial():
     ]
     for endpoints in cases:
         _check_model_invariants(endpoints, model_from_intervals(endpoints))
+
+
+def test_greedy_set_is_colorable_and_maximal():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        c = rng.randint(1, 3)
+        reps = (model_from_intervals(random_endpoints(rng, n)),
+                random_split_model(rng, n), random_graph(rng, n, p=0.5))
+        for rep in reps:
+            chosen = greedy_set(rep, c, rng)
+            assert colorable(rep, chosen, c)
+            for v in set(range(n)) - chosen:
+                assert not colorable(rep, chosen | {v}, c)

@@ -9,6 +9,7 @@ import pytest
 from csrecon import (
     Graph,
     Instance,
+    InvariantError,
     ResourceLimitError,
     enumerate_colorable_sets,
     oracle_connectivity_report,
@@ -16,6 +17,7 @@ from csrecon import (
     verify_sequence,
 )
 from csrecon.generators import random_graph
+from csrecon import oracle
 from csrecon.oracle import build_state_space
 
 from conftest import complete_graph, path_graph
@@ -66,6 +68,47 @@ def test_state_cap():
     g = Graph(10)
     with pytest.raises(ResourceLimitError):
         oracle_distance(g, 1, set(), set(), k=0, rule="tar", max_states=5)
+
+
+def test_pruned_enumeration_equals_filtered_full_enumeration():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        g = random_graph(rng, n, p=rng.random())
+        c = rng.randint(1, 3)
+        full = enumerate_colorable_sets(g, c)
+        for size in range(n + 2):
+            assert enumerate_colorable_sets(g, c, min_size=size) == \
+                [s for s in full if len(s) >= size]
+            assert enumerate_colorable_sets(g, c, exact_size=size) == \
+                [s for s in full if len(s) == size]
+
+
+def test_size_floor_bounds_enumeration_work(monkeypatch):
+    # edgeless n=16 at tar k=16 keeps one state; the search must not visit 2^16 sets
+    calls = 0
+    colorable = oracle.colorable
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return colorable(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "colorable", counting)
+    everything = set(range(16))
+    dist, _ = oracle_distance(Graph(16), 1, everything, everything, k=16, rule="tar")
+    assert dist == 0
+    assert calls <= 16 * 16
+
+
+def test_distance_input_errors():
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(InvariantError, match="S: vertex 5 out of range"):
+        oracle_distance(g, 1, {0, 5}, {1})
+    with pytest.raises(InvariantError, match="color budget c must be at least 1"):
+        oracle_distance(g, 0, {0}, {1})
+    with pytest.raises(InvariantError, match="threshold k must be nonnegative"):
+        oracle_distance(g, 1, {0}, {1}, k=-1)
 
 
 def test_report_state_cap_by_default():
