@@ -272,7 +272,6 @@ def build_parser():
 
     distance = subs.add_parser("distance", help="print the distance only")
     distance.add_argument("instance")
-    distance.add_argument("--max-c", type=int, default=DEFAULT_MAX_C)
     _add_oracle_flags(distance)
     # shortest distances on split graphs are only available at oracle scale
     distance.set_defaults(func=partial(_cmd_solve, split=False))

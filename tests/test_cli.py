@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, answer lines, files."""
 from __future__ import annotations
 
+import pytest
+
 from csrecon import parse_instance, parse_sequence, verify_sequence
 from csrecon.cli import main
 
@@ -114,6 +116,13 @@ def test_distance_command(tmp_path, capsys):
     inst = _write(tmp_path, "e4.csr", E4)
     code = main(["distance", inst])
     assert code == 0 and capsys.readouterr().out.strip() == "5"
+
+
+def test_distance_has_no_max_c(tmp_path):
+    inst = _write(tmp_path, "e4.csr", E4)
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", inst, "--max-c", "3"])
+    assert exc.value.code == 2
 
 
 def test_oracle_command(tmp_path, capsys):
