@@ -16,6 +16,7 @@ from .core import (
     adjacent_in,
     check_sets,
     colorable,
+    interval_clique_counts,
     is_colorable_clique_bound,
     is_colorable_exact,
     model_from_intervals,
@@ -37,7 +38,6 @@ from .interval_recon import (
     find_addable,
     find_common_addable,
     is_locked_within,
-    profile,
     shortest_tar_sequence,
     tar_distance,
     tj_distance,

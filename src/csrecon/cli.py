@@ -100,11 +100,11 @@ def _cmd_solve(args, split=True):
         return EXIT_OK
     if split and isinstance(rep, SplitModel) and inst.rule in ("tar", "tj"):
         if inst.rule == "tj":
+            if emit:
+                raise InvariantError("sequence emission is not supported for split tj instances")
             if inst.start == inst.target:
                 print("reachable")
                 return EXIT_OK
-            if emit:
-                raise InvariantError("sequence emission is not supported for split tj instances")
             floor = len(inst.start) - 1
         else:
             floor = inst.k

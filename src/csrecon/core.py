@@ -1,6 +1,7 @@
 """Core graph types: simple graphs, split partitions, interval clique paths."""
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate
 
 
@@ -92,13 +93,13 @@ class IntervalModel:
 
     __slots__ = ("t", "spans", "_cliques")
 
-    def __init__(self, t, spans, cliques=None):
+    def __init__(self, t, spans):
         self.t = t
         self.spans = [(int(l), int(r)) for l, r in spans]
         for v, (l, r) in enumerate(self.spans):
             if not (1 <= l <= r <= t):
                 raise InvariantError(f"span of vertex {v} falls outside 1..{t}")
-        self._cliques = [sorted(cl) for cl in cliques] if cliques is not None else None
+        self._cliques = None
 
     @classmethod
     def _prevalidated(cls, t, spans):
@@ -289,11 +290,11 @@ def is_colorable_exact(g, members, c, limit=64):
     return extend(0, 0)
 
 
-def colorable(g_or_model, members, c, limit=64):
+def colorable(g_or_model, members, c):
     """Route to the clique-bound test on perfect-class models, else to backtracking."""
     if isinstance(g_or_model, (IntervalModel, SplitModel)):
         return is_colorable_clique_bound(g_or_model, members, c)
-    return is_colorable_exact(g_or_model, members, c, limit=limit)
+    return is_colorable_exact(g_or_model, members, c)
 
 
 def check_set_bounds(rep, c, start, target, k):
@@ -435,3 +436,36 @@ def split_partition(g):
     if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
         return None
     return SplitModel(g, order[:h], order[h:])
+
+
+def bfs(source, neighbours, goal=None):
+    """Breadth-first search from ``source``; the parent links in discovery order.
+
+    ``neighbours(node)`` yields the nodes one step away.  A node's parent is
+    the first node that discovers it, and the source's parent is None.  The
+    search stops as soon as ``goal`` is discovered (at once when it is the
+    source); without a goal it covers the component of the source.
+    """
+    parent = {source: None}
+    if source == goal:
+        return parent
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nxt in neighbours(node):
+            if nxt not in parent:
+                parent[nxt] = node
+                if nxt == goal:
+                    return parent
+                queue.append(nxt)
+    return parent
+
+
+def bfs_path(parent, node):
+    """The nodes from the search's source to ``node``, following ``bfs``'s parent links."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()
+    return path

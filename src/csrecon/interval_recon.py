@@ -39,11 +39,6 @@ class DistanceVerdict:
     locked_side: str | None = None
 
 
-def profile(model, members):
-    """Per-clique member counts, one entry per clique of the path."""
-    return interval_clique_counts(model, members)
-
-
 def _blocked_prefix(counts, c):
     # pref[i] = number of cliques among the first i whose count already reached c
     pref = [0] * (len(counts) + 1)
@@ -77,14 +72,14 @@ def find_addable(model, members, c):
 
     A None result certifies that the set is maximal.
     """
-    pref = _blocked_prefix(profile(model, members), c)
+    pref = _blocked_prefix(interval_clique_counts(model, members), c)
     return _first_addable(model, pref, members)
 
 
 def find_common_addable(model, s_a, s_b, c):
     """Smallest vertex outside both sets whose addition keeps both colorable."""
-    pref_a = _blocked_prefix(profile(model, s_a), c)
-    pref_b = _blocked_prefix(profile(model, s_b), c)
+    pref_a = _blocked_prefix(interval_clique_counts(model, s_a), c)
+    pref_b = _blocked_prefix(interval_clique_counts(model, s_b), c)
     return _first_common(model, pref_a, pref_b, s_a, s_b)
 
 
@@ -103,7 +98,7 @@ def is_locked_within(model, members, k, c, within):
     """True iff the set has size exactly k and no vertex of ``within`` extends it."""
     if len(members) != k:
         return False
-    pref = _blocked_prefix(profile(model, members), c)
+    pref = _blocked_prefix(interval_clique_counts(model, members), c)
     return _first_addable(model, pref, members, candidates=set(within) - set(members)) is None
 
 
@@ -112,10 +107,10 @@ def tar_distance(model, c, start, target, k):
     start = set(start)
     target = set(target)
     check_set_bounds(model, c, start, target, k)
-    counts_a = profile(model, start)
+    counts_a = interval_clique_counts(model, start)
     if any(a > c for a in counts_a):
         raise InvariantError(f"S is not {c}-colorable")
-    counts_b = profile(model, target)
+    counts_b = interval_clique_counts(model, target)
     if any(a > c for a in counts_b):
         raise InvariantError(f"S2 is not {c}-colorable")
     if start == target:
@@ -214,7 +209,7 @@ def _resolve_unlocked(model, c, k, a, b, prefix, suffix):
     ra = la = rb = lb = 0
     while a_only or b_only:
         if len(a) == k:
-            pref = _blocked_prefix(profile(model, a), c)
+            pref = _blocked_prefix(interval_clique_counts(model, a), c)
             v = _first_addable(model, pref, a, candidates=b_only)
             if v is None:
                 raise RuntimeError("no extension found for an unlocked set")
@@ -223,7 +218,7 @@ def _resolve_unlocked(model, c, k, a, b, prefix, suffix):
             b_only.discard(v)
             continue
         if len(b) == k:
-            pref = _blocked_prefix(profile(model, b), c)
+            pref = _blocked_prefix(interval_clique_counts(model, b), c)
             v = _first_addable(model, pref, b, candidates=a_only)
             if v is None:
                 raise RuntimeError("no extension found for an unlocked set")

@@ -8,10 +8,11 @@ connectivity report, whose diameters take one BFS per state.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .core import InvariantError, ResourceLimitError, adjacent_in, check_sets, colorable
+from .core import (
+    InvariantError, ResourceLimitError, adjacent_in, bfs, bfs_path, check_sets, colorable,
+)
 from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
@@ -77,31 +78,20 @@ def build_state_space(g_or_model, c, k, rule, size=None,
     else:
         raise InvariantError(f"unknown rule '{rule}'")
     index = {s: i for i, s in enumerate(states)}
+    at = {sum(1 << v for v in s): i for i, s in enumerate(states)}
     adj = [[] for _ in states]
-    if rule == "tar":
-        for i, s in enumerate(states):
-            members = set(s)
-            for v in range(n):
-                if v in members:
+    # one step removes a member u (none under tar, written u = -1) and adds a
+    # nonmember v > u, so each edge is generated once, from one of its ends
+    for mask, i in at.items():
+        outs = [(-1, mask)] if rule == "tar" else [(u, mask ^ 1 << u) for u in states[i]]
+        for u, rest in outs:
+            for v in range(u + 1, n):
+                if mask >> v & 1 or rule == "ts" and not adjacent_in(g_or_model, u, v):
                     continue
-                j = index.get(tuple(sorted(s + (v,))))
+                j = at.get(rest | 1 << v)
                 if j is not None:
                     adj[i].append(j)
                     adj[j].append(i)
-    else:
-        for i, s in enumerate(states):
-            members = set(s)
-            for u in s:
-                rest = [x for x in s if x != u]
-                for v in range(n):
-                    if v in members:
-                        continue
-                    if rule == "ts" and not adjacent_in(g_or_model, u, v):
-                        continue
-                    j = index.get(tuple(sorted(rest + [v])))
-                    if j is not None and j > i:
-                        adj[i].append(j)
-                        adj[j].append(i)
     for lst in adj:
         lst.sort()
     return StateSpace(states, index, adj, rule)
@@ -133,31 +123,15 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                               max_n=max_n, max_states=max_states)
     src = space.index[start_t]
     dst = space.index[target_t]
-    parent = {src: None}
-    queue = deque([src])
-    dist = {src: 0}
-    while queue:
-        i = queue.popleft()
-        if i == dst:
-            break
-        for j in space.adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                parent[j] = i
-                queue.append(j)
-    if dst not in dist:
+    parent = bfs(src, space.adj.__getitem__, dst)
+    if dst not in parent:
         return math.inf, None
+    path = bfs_path(parent, dst)
     if not want_sequence:
-        return dist[dst], None
-    path = []
-    node = dst
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
+        return len(path) - 1, None
     steps = [_steps_between(space.states[path[i]], space.states[path[i + 1]], rule)
              for i in range(len(path) - 1)]
-    return dist[dst], ReconSequence(set(start_t), steps)
+    return len(path) - 1, ReconSequence(set(start_t), steps)
 
 
 @dataclass
@@ -178,34 +152,20 @@ def oracle_connectivity_report(g_or_model, c, k, rule="tar",
     """
     space = build_state_space(g_or_model, c, k, rule, size=k,
                               max_n=max_n, max_states=max_states)
-    n_states = len(space.states)
-    seen = [False] * n_states
+    neighbours = space.adj.__getitem__
+    seen = set()
     sizes = []
     diameters = []
-    for root in range(n_states):
-        if seen[root]:
+    for root in range(len(space.states)):
+        if root in seen:
             continue
-        comp = []
-        queue = deque([root])
-        seen[root] = True
-        while queue:
-            i = queue.popleft()
-            comp.append(i)
-            for j in space.adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
+        comp = bfs(root, neighbours)
+        seen.update(comp)
+        # a state's eccentricity is the depth of the last state its search discovers
         diameter = 0
         for src in comp:
-            dist = {src: 0}
-            queue = deque([src])
-            while queue:
-                i = queue.popleft()
-                for j in space.adj[i]:
-                    if j not in dist:
-                        dist[j] = dist[i] + 1
-                        queue.append(j)
-            diameter = max(diameter, max(dist.values()))
+            parent = bfs(src, neighbours)
+            diameter = max(diameter, len(bfs_path(parent, next(reversed(parent)))) - 1)
         sizes.append(len(comp))
         diameters.append(diameter)
     return ConnectivityReport(len(sizes), sizes, diameters)

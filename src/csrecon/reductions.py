@@ -8,10 +8,9 @@ enumeration at desk scale.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Graph, InvariantError, SplitModel
+from .core import Graph, InvariantError, SplitModel, bfs
 
 
 @dataclass
@@ -146,14 +145,9 @@ class CocompReductionOutput:
 
 def _bfs_dist(g, src):
     dist = [math.inf] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] == math.inf:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    # parents are discovered before their children
+    for v, p in bfs(src, g.adjacency.__getitem__).items():
+        dist[v] = 0 if p is None else dist[p] + 1
     return dist
 
 

@@ -17,11 +17,10 @@ same rules, for inspection only.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InvariantError, ResourceLimitError, check_sets
+from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets
 from .instances import ReconSequence
 
 DEFAULT_MAX_C = 3
@@ -161,27 +160,10 @@ def _meta_path(model, c, k, start, target):
     """Meta-graph nodes from S's clique part to S2's, breadth first, or None."""
     src = tuple(sorted(start & model.clique_part))
     dst = tuple(sorted(target & model.clique_part))
-    parent = {src: None}
-    if src != dst:
-        rule = _MetaRule(model, c, k)
-        queue = deque([src])
-        while dst not in parent:
-            if not queue:
-                return None
-            node = queue.popleft()
-            for nxt in rule.neighbours(node):
-                if nxt not in parent:
-                    parent[nxt] = node
-                    if nxt == dst:
-                        break
-                    queue.append(nxt)
-    path = []
-    node = dst
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return path
+    if src == dst:
+        return [src]
+    parent = bfs(src, _MetaRule(model, c, k).neighbours, dst)
+    return bfs_path(parent, dst) if dst in parent else None
 
 
 def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):

@@ -112,6 +112,19 @@ def test_solve_split(tmp_path, capsys):
     assert verify_sequence(parse_instance(SPLIT_REACHABLE), seq).ok
 
 
+@pytest.mark.parametrize("target", ["0 3", "1 2"])
+def test_split_tj_refuses_sequence_emission(tmp_path, capsys, target):
+    text = SPLIT_REACHABLE.replace("rule: tar", "rule: tj").replace("S2: 1 2", f"S2: {target}")
+    inst = _write(tmp_path, "s.csr", text)
+    seq_path = tmp_path / "s.seq"
+    for out in (["--out", str(seq_path)], []):
+        code = main(["solve", inst, "--emit-sequence", *out])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "sequence emission is not supported for split tj instances" in captured.err
+    assert not seq_path.exists()
+
+
 def test_distance_command(tmp_path, capsys):
     inst = _write(tmp_path, "e4.csr", E4)
     code = main(["distance", inst])

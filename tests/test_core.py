@@ -17,6 +17,7 @@ from csrecon import (
     model_from_intervals,
     split_partition,
 )
+from csrecon.core import bfs, bfs_path
 from csrecon.generators import greedy_set, random_endpoints, random_graph, random_split_model
 
 from conftest import (
@@ -242,3 +243,28 @@ def test_greedy_set_is_colorable_and_maximal():
             assert colorable(rep, chosen, c)
             for v in set(range(n)) - chosen:
                 assert not colorable(rep, chosen | {v}, c)
+
+
+def test_bfs_parents_goal_and_component():
+    # 0 -> {1, 2} -> 3, with 4 hanging off 1 and 5 isolated
+    graph = {0: [1, 2], 1: [0, 3, 4], 2: [0, 3], 3: [1, 2], 4: [1], 5: []}
+    asked = []
+    yielded = []
+
+    def neighbours(node):
+        asked.append(node)
+        for nxt in graph[node]:
+            yielded.append(nxt)
+            yield nxt
+
+    parent = bfs(0, neighbours, 3)
+    assert parent == {0: None, 1: 0, 2: 0, 3: 1}
+    assert asked == [0, 1] and yielded == [1, 2, 0, 3]
+    assert bfs_path(parent, 3) == [0, 1, 3]
+    asked.clear()
+    assert bfs(2, neighbours, 2) == {2: None} and asked == []
+    parent = bfs(0, neighbours)
+    assert list(parent) == [0, 1, 2, 3, 4] and parent[3] == 1
+    assert bfs_path(parent, 4) == [0, 1, 4]
+    assert bfs(5, neighbours) == {5: None}
+    assert bfs(0, neighbours, 5).keys() == {0, 1, 2, 3, 4}

@@ -11,9 +11,9 @@ from csrecon import (
     InvariantError,
     find_addable,
     find_common_addable,
+    interval_clique_counts,
     is_locked_within,
     model_from_intervals,
-    profile,
     shortest_tar_sequence,
     tar_distance,
     tj_distance,
@@ -26,9 +26,9 @@ from csrecon.oracle import oracle_distance
 
 
 def test_profile_examples(e1_model):
-    assert profile(e1_model, {0, 1}) == [2, 1]
-    assert profile(e1_model, set()) == [0, 0]
-    assert profile(e1_model, {0, 2}) == [1, 1]
+    assert interval_clique_counts(e1_model, {0, 1}) == [2, 1]
+    assert interval_clique_counts(e1_model, set()) == [0, 0]
+    assert interval_clique_counts(e1_model, {0, 2}) == [1, 1]
 
 
 def test_find_addable_examples(e1_model):

@@ -12,11 +12,13 @@ from csrecon import (
     InvariantError,
     ResourceLimitError,
     enumerate_colorable_sets,
+    model_from_intervals,
     oracle_connectivity_report,
     oracle_distance,
     verify_sequence,
 )
-from csrecon.generators import random_graph
+from csrecon.core import adjacent_in
+from csrecon.generators import random_endpoints, random_graph, random_split_model
 from csrecon import oracle
 from csrecon.oracle import build_state_space
 
@@ -140,6 +142,34 @@ def test_adjacency_symmetric_everywhere():
         for i, neighbors in enumerate(space.adj):
             for j in neighbors:
                 assert i in space.adj[j]
+
+
+def test_adjacency_equals_brute_force_steps():
+    # tar: one vertex added or removed; tj: one swap; ts: one swap along an edge
+    rng = random.Random(515)
+    for _ in range(25):
+        n = rng.randint(0, 8)
+        c = rng.randint(1, 3)
+        reps = (random_graph(rng, n, p=rng.random()), random_split_model(rng, n),
+                model_from_intervals(random_endpoints(rng, n)))
+        for rep in reps:
+            for rule in ("tar", "tj", "ts"):
+                k = rng.randint(0, n)
+                space = build_state_space(rep, c, k, rule, size=k)
+                sets = [set(s) for s in space.states]
+                want = []
+                for a in sets:
+                    row = []
+                    for j, b in enumerate(sets):
+                        diff = a ^ b
+                        if rule == "tar":
+                            step = len(diff) == 1
+                        else:
+                            step = len(diff) == 2 and (rule == "tj" or adjacent_in(rep, *diff))
+                        if step:
+                            row.append(j)
+                    want.append(row)
+                assert space.adj == want, (rule, c, k, rep)
 
 
 def test_tar_distance_monotone_in_k():
