@@ -235,20 +235,9 @@ def is_colorable_clique_bound(model, members, c):
     Exact on clique-path and split models: a set is c-colorable there iff its
     induced subgraph has no clique larger than c.
     """
-    if isinstance(model, IntervalModel):
-        return all(a <= c for a in interval_clique_counts(model, members))
-    if isinstance(model, SplitModel):
-        ms = members if isinstance(members, (set, frozenset)) else set(members)
-        chosen = ms & model.clique_part
-        if len(chosen) > c:
-            return False
-        if len(chosen) == c:
-            nbrs = model.graph.neighbor_sets
-            for u in ms - chosen:
-                if chosen <= nbrs[u]:
-                    return False
-        return True
-    raise TypeError(f"expected IntervalModel or SplitModel, got {type(model).__name__}")
+    if not isinstance(model, (IntervalModel, SplitModel)):
+        raise TypeError(f"expected IntervalModel or SplitModel, got {type(model).__name__}")
+    return make_tracker(model, members, c).colorable()
 
 
 def is_colorable_exact(g, members, c, limit=64):
@@ -291,10 +280,8 @@ def is_colorable_exact(g, members, c, limit=64):
 
 
 def colorable(g_or_model, members, c):
-    """Route to the clique-bound test on perfect-class models, else to backtracking."""
-    if isinstance(g_or_model, (IntervalModel, SplitModel)):
-        return is_colorable_clique_bound(g_or_model, members, c)
-    return is_colorable_exact(g_or_model, members, c)
+    """The clique-bound test on perfect-class models, else backtracking."""
+    return make_tracker(g_or_model, members, c).colorable()
 
 
 def check_set_bounds(rep, c, start, target, k):
@@ -338,11 +325,28 @@ class _IntervalTracker:
         self.c = c
         self.counts = interval_clique_counts(model, members)
 
+    def colorable(self):
+        return max(self.counts, default=0) <= self.c
+
     def can_add(self, v):
         l, r = self.spans[v]
         counts = self.counts
         c = self.c
         return all(counts[i] < c for i in range(l - 1, r))
+
+    def addable(self, exclude, among=None):
+        """Vertices outside ``exclude`` (of ``among`` when given) that can be added, ascending.
+
+        A vertex fits iff no clique of its span is full; one prefix sum over
+        the full cliques answers that in O(1) per vertex.
+        """
+        full = [0, *accumulate(map(self.c.__le__, self.counts))]
+        spans = self.spans
+        for v in range(len(spans)) if among is None else sorted(among):
+            if v not in exclude:
+                l, r = spans[v]
+                if full[r] == full[l - 1]:
+                    yield v
 
     def add(self, v):
         l, r = self.spans[v]
@@ -356,6 +360,12 @@ class _IntervalTracker:
 
 
 class _SplitTracker:
+    """Clique part C and independent part of a set of a split model.
+
+    The set is c-colorable iff |C| <= c and, when |C| = c, no independent
+    member is adjacent to all of C, which would close a (c+1)-clique.
+    """
+
     def __init__(self, model, members, c):
         self.clique_part = model.clique_part
         self.nbrs = model.graph.neighbor_sets
@@ -363,18 +373,18 @@ class _SplitTracker:
         self.chosen = set(members) & model.clique_part
         self.ind = set(members) & model.independent_part
 
-    def can_add(self, v):
+    def _closes_clique(self, chosen, ind):
         nbrs = self.nbrs
+        return len(chosen) == self.c and any(chosen <= nbrs[u] for u in ind)
+
+    def colorable(self):
+        return len(self.chosen) <= self.c and not self._closes_clique(self.chosen, self.ind)
+
+    def can_add(self, v):
         if v in self.clique_part:
             grown = self.chosen | {v}
-            if len(grown) > self.c:
-                return False
-            if len(grown) == self.c:
-                return not any(grown <= nbrs[u] for u in self.ind)
-            return True
-        if len(self.chosen) == self.c and self.chosen <= nbrs[v]:
-            return False
-        return True
+            return len(grown) <= self.c and not self._closes_clique(grown, self.ind)
+        return not self._closes_clique(self.chosen, (v,))
 
     def add(self, v):
         (self.chosen if v in self.clique_part else self.ind).add(v)
@@ -389,8 +399,15 @@ class _ExactTracker:
         self.c = c
         self.members = set(members)
 
+    def colorable(self):
+        return is_colorable_exact(self.g, self.members, self.c)
+
     def can_add(self, v):
-        return is_colorable_exact(self.g, self.members | {v}, self.c)
+        members = self.members
+        members.add(v)
+        ok = is_colorable_exact(self.g, members, self.c)
+        members.discard(v)
+        return ok
 
     def add(self, v):
         self.members.add(v)
@@ -400,7 +417,11 @@ class _ExactTracker:
 
 
 def make_tracker(rep, members, c):
-    """Incremental "can v be added?" for a colorable set of ``rep``, per representation."""
+    """Feasibility of a vertex set of ``rep``, one tracker per representation.
+
+    ``colorable()`` tests the whole set; ``can_add``, ``add`` and ``remove``
+    keep it up to date step by step.
+    """
     if isinstance(rep, IntervalModel):
         return _IntervalTracker(rep, members, c)
     if isinstance(rep, SplitModel):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InvariantError, check_set_bounds, interval_clique_counts
+from .core import InvariantError, check_set_bounds, make_tracker
 from .instances import ReconSequence
 
 IDENTICAL = "identical"
@@ -39,67 +39,26 @@ class DistanceVerdict:
     locked_side: str | None = None
 
 
-def _blocked_prefix(counts, c):
-    # pref[i] = number of cliques among the first i whose count already reached c
-    pref = [0] * (len(counts) + 1)
-    run = 0
-    for i, a in enumerate(counts):
-        if a >= c:
-            run += 1
-        pref[i + 1] = run
-    return pref
-
-
-def _first_addable(model, pref, exclude, candidates=None):
-    spans = model.spans
-    if candidates is None:
-        for v in range(model.n):
-            if v in exclude:
-                continue
-            l, r = spans[v]
-            if pref[r] == pref[l - 1]:
-                return v
-    else:
-        for v in sorted(candidates):
-            l, r = spans[v]
-            if pref[r] == pref[l - 1]:
-                return v
-    return None
-
-
 def find_addable(model, members, c):
     """Smallest vertex whose addition keeps the set colorable, or None.
 
     A None result certifies that the set is maximal.
     """
-    pref = _blocked_prefix(interval_clique_counts(model, members), c)
-    return _first_addable(model, pref, members)
+    return next(make_tracker(model, members, c).addable(members), None)
 
 
 def find_common_addable(model, s_a, s_b, c):
     """Smallest vertex outside both sets whose addition keeps both colorable."""
-    pref_a = _blocked_prefix(interval_clique_counts(model, s_a), c)
-    pref_b = _blocked_prefix(interval_clique_counts(model, s_b), c)
-    return _first_common(model, pref_a, pref_b, s_a, s_b)
-
-
-def _first_common(model, pref_a, pref_b, s_a, s_b):
-    spans = model.spans
-    for v in range(model.n):
-        if v in s_a or v in s_b:
-            continue
-        l, r = spans[v]
-        if pref_a[r] == pref_a[l - 1] and pref_b[r] == pref_b[l - 1]:
-            return v
-    return None
+    t_b = make_tracker(model, s_b, c)
+    return next((v for v in make_tracker(model, s_a, c).addable(s_a)
+                 if v not in s_b and t_b.can_add(v)), None)
 
 
 def is_locked_within(model, members, k, c, within):
     """True iff the set has size exactly k and no vertex of ``within`` extends it."""
     if len(members) != k:
         return False
-    pref = _blocked_prefix(interval_clique_counts(model, members), c)
-    return _first_addable(model, pref, members, candidates=set(within) - set(members)) is None
+    return next(make_tracker(model, members, c).addable(members, within), None) is None
 
 
 def tar_distance(model, c, start, target, k):
@@ -107,38 +66,32 @@ def tar_distance(model, c, start, target, k):
     start = set(start)
     target = set(target)
     check_set_bounds(model, c, start, target, k)
-    counts_a = interval_clique_counts(model, start)
-    if any(a > c for a in counts_a):
+    t_a = make_tracker(model, start, c)
+    if not t_a.colorable():
         raise InvariantError(f"S is not {c}-colorable")
-    counts_b = interval_clique_counts(model, target)
-    if any(a > c for a in counts_b):
+    t_b = make_tracker(model, target, c)
+    if not t_b.colorable():
         raise InvariantError(f"S2 is not {c}-colorable")
     if start == target:
         return DistanceVerdict(IDENTICAL, 0)
-    pref_a = _blocked_prefix(counts_a, c)
-    pref_b = _blocked_prefix(counts_b, c)
-    if len(start) == k and _first_addable(model, pref_a, start) is None:
-        return DistanceVerdict(LOCKED, math.inf)
-    if len(target) == k and _first_addable(model, pref_b, target) is None:
+    # a set above the floor can always move; at it, the smallest extension in G
+    # decides locked-in-G and is the witness of case2 and case3b
+    u = next(t_a.addable(start), None) if len(start) == k else None
+    w = next(t_b.addable(target), None) if len(target) == k else None
+    if len(start) == k and u is None or len(target) == k and w is None:
         return DistanceVerdict(LOCKED, math.inf)
     delta = len(start ^ target)
-    locked_a = (len(start) == k and
-                _first_addable(model, pref_a, start, candidates=target - start) is None)
-    locked_b = (len(target) == k and
-                _first_addable(model, pref_b, target, candidates=start - target) is None)
+    locked_a = len(start) == k and next(t_a.addable(start, target - start), None) is None
+    locked_b = len(target) == k and next(t_b.addable(target, start - target), None) is None
     if not locked_a and not locked_b:
         return DistanceVerdict(CASE1, delta)
     if locked_a != locked_b:
         if locked_a:
-            w = _first_addable(model, pref_a, start)
-            return DistanceVerdict(CASE2, delta + 2, (w,), locked_side="start")
-        w = _first_addable(model, pref_b, target)
+            return DistanceVerdict(CASE2, delta + 2, (u,), locked_side="start")
         return DistanceVerdict(CASE2, delta + 2, (w,), locked_side="target")
-    v = _first_common(model, pref_a, pref_b, start, target)
+    v = next((v for v in t_a.addable(start) if v not in target and t_b.can_add(v)), None)
     if v is not None:
         return DistanceVerdict(CASE3A, delta + 2, (v,))
-    u = _first_addable(model, pref_a, start)
-    w = _first_addable(model, pref_b, target)
     return DistanceVerdict(CASE3B, delta + 4, (u, w))
 
 
@@ -209,22 +162,10 @@ def _resolve_unlocked(model, c, k, a, b, prefix, suffix):
     ra = la = rb = lb = 0
     while a_only or b_only:
         if len(a) == k:
-            pref = _blocked_prefix(interval_clique_counts(model, a), c)
-            v = _first_addable(model, pref, a, candidates=b_only)
-            if v is None:
-                raise RuntimeError("no extension found for an unlocked set")
-            prefix.append(("+", v))
-            a.add(v)
-            b_only.discard(v)
+            _extend_at_floor(model, c, a, b_only, prefix)
             continue
         if len(b) == k:
-            pref = _blocked_prefix(interval_clique_counts(model, b), c)
-            v = _first_addable(model, pref, b, candidates=a_only)
-            if v is None:
-                raise RuntimeError("no extension found for an unlocked set")
-            suffix.append(("+", v))
-            b.add(v)
-            a_only.discard(v)
+            _extend_at_floor(model, c, b, a_only, suffix)
             continue
         if not a_only:
             for v in sorted(b_only):
@@ -267,6 +208,16 @@ def _resolve_unlocked(model, c, k, a, b, prefix, suffix):
             a_only.discard(v)
 
 
+def _extend_at_floor(model, c, members, candidates, out):
+    """Add the smallest candidate that keeps ``members`` colorable, recording the step."""
+    v = next(make_tracker(model, members, c).addable(members, candidates), None)
+    if v is None:
+        raise RuntimeError("no extension found for an unlocked set")
+    out.append(("+", v))
+    members.add(v)
+    candidates.discard(v)
+
+
 def tj_distance(model, c, start, target):
     """Swap distance between equal-size colorable sets.
 
@@ -278,9 +229,7 @@ def tj_distance(model, c, start, target):
     target = set(target)
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
-    if start == target:
-        return 0
-    d = tar_distance(model, c, start, target, len(start) - 1).distance
+    d = tar_distance(model, c, start, target, max(len(start) - 1, 0)).distance
     return d if d == math.inf else d // 2
 
 
@@ -294,9 +243,7 @@ def tj_sequence(model, c, start, target):
     target = set(target)
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
-    if start == target:
-        return ReconSequence(set(start), [])
-    seq = shortest_tar_sequence(model, c, start, target, len(start) - 1)
+    seq = shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0))
     if seq is None:
         return None
     if len(seq.steps) % 2:

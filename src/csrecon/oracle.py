@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    InvariantError, ResourceLimitError, adjacent_in, bfs, bfs_path, check_sets, colorable,
+    InvariantError, ResourceLimitError, adjacent_in, bfs, bfs_path, check_sets, make_tracker,
 )
 from .instances import ReconSequence
 
@@ -32,33 +32,36 @@ class StateSpace:
 def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
     """All colorable vertex sets, by recursive extension with pruning.
 
-    Colorable sets are closed under taking subsets, so pruning a vertex whose
-    addition breaks colorability never loses a set.  A branch is also cut as
-    soon as it can no longer reach the size floor, and never grows past the
-    exact size, so a floor that filters out most sets prunes most of the
-    search too.  Results come back as
-    sorted tuples in lexicographic order.
+    One feasibility tracker follows the walk, which adds vertices in
+    ascending order.  Colorable sets are closed under taking subsets, so
+    pruning a vertex whose addition breaks colorability never loses a set.
+    A branch is also cut as soon as it can no longer reach the size floor,
+    and never grows past the exact size, so a floor that filters out most
+    sets prunes most of the search too.  Results come back as sorted tuples
+    in lexicographic order.
     """
     n = g_or_model.n
     states = []
-    cur = set()
+    cur = []
+    tracker = make_tracker(g_or_model, (), c)
     floor = min_size if exact_size is None else max(min_size, exact_size)
 
     def extend(v):
         if len(cur) + n - v < floor:
             return
         if v == n:
-            states.append(tuple(sorted(cur)))
+            states.append(tuple(cur))
             if max_states is not None and len(states) > max_states:
                 raise ResourceLimitError(
                     f"oracle guard: state count exceeds max_states={max_states}; "
                     "raise max_states (--max-states) to override")
             return
-        if exact_size is None or len(cur) < exact_size:
-            cur.add(v)
-            if colorable(g_or_model, cur, c):
-                extend(v + 1)
-            cur.discard(v)
+        if (exact_size is None or len(cur) < exact_size) and tracker.can_add(v):
+            tracker.add(v)
+            cur.append(v)
+            extend(v + 1)
+            cur.pop()
+            tracker.remove(v)
         extend(v + 1)
 
     extend(0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets
+from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker
 from .instances import ReconSequence
 
 DEFAULT_MAX_C = 3
@@ -49,13 +49,9 @@ def t_set(model, base, c):
         raise InvariantError("C must be a subset of the clique part")
     if len(base) > c:
         raise InvariantError("C may contain at most c vertices")
-    ind = model.independent_part
-    if len(base) < c:
-        members = base | ind
-    else:
-        nbrs = model.graph.neighbor_sets
-        members = base | {u for u in ind if not base <= nbrs[u]}
-    return TSet(base, frozenset(members))
+    tracker = make_tracker(model, base, c)
+    fits = {u for u in model.independent_part if tracker.can_add(u)}
+    return TSet(base, base | fits)
 
 
 class _MetaRule:

@@ -1,6 +1,11 @@
 """End-to-end command tests: exit codes, answer lines, files."""
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from csrecon import parse_instance, parse_sequence, verify_sequence
@@ -377,3 +382,16 @@ S2: 2
     inst = _write(tmp_path, "ts.csr", text)
     code = main(["solve", inst])
     assert code == 0 and capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_digest_tool_runs_and_is_deterministic():
+    # tools/cli_digest.py compares two checkouts; a digest that varied between
+    # runs (an unmasked temporary path, say) would make that comparison useless
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, str(root / "tools" / "cli_digest.py"), str(root / "src"),
+           "--seeds", "2"]
+    lines = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+             for _ in range(2)]
+    assert re.fullmatch(r"\d+ commands [0-9a-f]{64}\n", lines[0])
+    assert int(lines[0].split()[0]) >= 2 * 9 * 6
+    assert lines[0] == lines[1]

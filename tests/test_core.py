@@ -17,7 +17,7 @@ from csrecon import (
     model_from_intervals,
     split_partition,
 )
-from csrecon.core import bfs, bfs_path
+from csrecon.core import bfs, bfs_path, make_tracker
 from csrecon.generators import greedy_set, random_endpoints, random_graph, random_split_model
 
 from conftest import (
@@ -120,7 +120,27 @@ def test_clique_bound_agrees_with_exact_interval_and_split():
         members = {v for v in range(n) if rng.random() < 0.5}
         assert is_colorable_clique_bound(model, members, c) == \
             is_colorable_exact(g, members, c)
+        if is_colorable_exact(g, members, c):
+            tracker = make_tracker(model, members, c)
+            for v in set(range(n)) - members:
+                assert tracker.can_add(v) == is_colorable_exact(g, members | {v}, c)
         cases += 1
+
+
+def test_interval_addable_scan_matches_brute_force():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        c = rng.choice([1, 2, 3])
+        model = model_from_intervals(random_endpoints(rng, n, coord_max=rng.randint(2, 9)))
+        g = graph_from_model(model)
+        members = greedy_set(model, c, rng, target=rng.randint(0, n))
+        among = {v for v in range(n) if rng.random() < 0.5}
+        fits = [v for v in range(n)
+                if v not in members and is_colorable_exact(g, members | {v}, c)]
+        tracker = make_tracker(model, members, c)
+        assert list(tracker.addable(members)) == fits
+        assert list(tracker.addable(members, among)) == [v for v in fits if v in among]
 
 
 # --- split recognition ------------------------------------------------------

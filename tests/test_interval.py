@@ -113,6 +113,15 @@ def test_tj_examples(e1_model, e2_model):
     assert tar_distance(e2_model, 1, {0}, {1}, 1).distance == math.inf
     assert tar_distance(e2_model, 1, {0}, {1}, 0).distance == 2
     assert tj_distance(e2_model, 1, {0}, {1}) == 1
+    # S == S2 is validated like any other pair
+    assert tj_distance(e1_model, 1, set(), set()) == 0
+    assert tj_sequence(e1_model, 1, set(), set()).steps == []
+    for c, s, message in ((0, {0}, "color budget"), (1, {9}, "S: vertex 9 out of range"),
+                          (1, {0, 1}, "S is not 1-colorable")):
+        with pytest.raises(InvariantError, match=message):
+            tj_distance(e1_model, c, s, s)
+        with pytest.raises(InvariantError, match=message):
+            tj_sequence(e1_model, c, s, s)
 
 
 def test_tj_sequence_is_valid(e2_model, e3_model):

@@ -89,14 +89,21 @@ def test_pruned_enumeration_equals_filtered_full_enumeration():
 def test_size_floor_bounds_enumeration_work(monkeypatch):
     # edgeless n=16 at tar k=16 keeps one state; the search must not visit 2^16 sets
     calls = 0
-    colorable = oracle.colorable
+    make_tracker = oracle.make_tracker
 
     def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return colorable(*args, **kwargs)
+        tracker = make_tracker(*args, **kwargs)
+        can_add = tracker.can_add
 
-    monkeypatch.setattr(oracle, "colorable", counting)
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return can_add(v)
+
+        tracker.can_add = counted
+        return tracker
+
+    monkeypatch.setattr(oracle, "make_tracker", counting)
     everything = set(range(16))
     dist, _ = oracle_distance(Graph(16), 1, everything, everything, k=16, rule="tar")
     assert dist == 0
