@@ -54,9 +54,13 @@ def _write(path, text):
 
 
 def _emit_sequence(args, seq):
-    if not args.out:
-        raise InvariantError("--emit-sequence requires --out")
     _write(args.out, render_sequence(seq))
+
+
+def _require_out(args, emit):
+    """Refuse sequence emission without a target file, before any solving."""
+    if emit and not args.out:
+        raise InvariantError("--emit-sequence requires --out")
 
 
 def _solve_oracle(inst, args, emit):
@@ -79,6 +83,10 @@ def _cmd_solve(args, split=True):
     inst = parse_instance(_read(args.instance))
     rep = inst.representation
     emit = getattr(args, "emit_sequence", False)
+    on_split = split and isinstance(rep, SplitModel) and inst.rule in ("tar", "tj")
+    if emit and on_split and inst.rule == "tj":
+        raise InvariantError("sequence emission is not supported for split tj instances")
+    _require_out(args, emit)
     if isinstance(rep, IntervalModel) and inst.rule == "tar":
         verdict = tar_distance(rep, inst.c, inst.start, inst.target, inst.k)
         if verdict.distance == math.inf:
@@ -98,31 +106,19 @@ def _cmd_solve(args, split=True):
         if emit:
             _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target))
         return EXIT_OK
-    if split and isinstance(rep, SplitModel) and inst.rule in ("tar", "tj"):
-        if inst.rule == "tj":
-            if emit:
-                raise InvariantError("sequence emission is not supported for split tj instances")
-            if inst.start == inst.target:
-                print("reachable")
-                return EXIT_OK
-            floor = len(inst.start) - 1
-        else:
-            floor = inst.k
-        if inst.rule == "tar" and emit:
+    if on_split:
+        floor = inst.k if inst.rule == "tar" else max(len(inst.start) - 1, 0)
+        if emit:
             seq = split_tar_witness(rep, inst.c, inst.start, inst.target, floor,
                                     max_c=args.max_c)
-            if seq is None:
-                print("unreachable")
-                return EXIT_UNREACHABLE
-            print("reachable")
+            reached = seq is not None
+        else:
+            reached = split_tar_reachable(rep, inst.c, inst.start, inst.target, floor,
+                                          max_c=args.max_c)
+        print("reachable" if reached else "unreachable")
+        if emit and reached:
             _emit_sequence(args, seq)
-            return EXIT_OK
-        if split_tar_reachable(rep, inst.c, inst.start, inst.target, floor,
-                               max_c=args.max_c):
-            print("reachable")
-            return EXIT_OK
-        print("unreachable")
-        return EXIT_UNREACHABLE
+        return EXIT_OK if reached else EXIT_UNREACHABLE
     # token sliding and plain edge lists go to the guarded oracle
     return _solve_oracle(inst, args, emit)
 
@@ -141,16 +137,17 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     inst = parse_instance(_read(args.instance))
-    if args.report:
-        cap = DEFAULT_REPORT_MAX_STATES if args.max_states is None else args.max_states
-        report = oracle_connectivity_report(
-            inst.representation, inst.c, inst.k, rule=inst.rule,
-            max_n=args.max_n, max_states=cap)
-        sizes = " ".join(str(x) for x in report.sizes)
-        diameters = " ".join(str(x) for x in report.diameters)
-        print(f"components: {report.components}; sizes: {sizes}; diameters: {diameters}")
-        return EXIT_OK
-    return _solve_oracle(inst, args, emit=getattr(args, "emit_sequence", False))
+    if not args.report:
+        _require_out(args, args.emit_sequence)
+        return _solve_oracle(inst, args, emit=args.emit_sequence)
+    cap = DEFAULT_REPORT_MAX_STATES if args.max_states is None else args.max_states
+    report = oracle_connectivity_report(
+        inst.representation, inst.c, inst.k, rule=inst.rule,
+        max_n=args.max_n, max_states=cap)
+    sizes = " ".join(str(x) for x in report.sizes)
+    diameters = " ".join(str(x) for x in report.diameters)
+    print(f"components: {report.components}; sizes: {sizes}; diameters: {diameters}")
+    return EXIT_OK
 
 
 def _field(fields, key, parser, what):
@@ -196,9 +193,9 @@ def _cmd_reduce(args):
         extra = []
         for v, (eu, ev) in sorted(out.edge_of_vertex.items()):
             meta_lines.append(f"pad: {v} edge {eu} {ev}")
-    elif args.kind == "spr":
-        s = _field(fields, "s", lambda val, ln: as_int(val, ln), "spr")
-        t = _field(fields, "t", lambda val, ln: as_int(val, ln), "spr")
+    else:  # spr
+        s = _field(fields, "s", as_int, "spr")
+        t = _field(fields, "t", as_int, "spr")
         path_start = _field(fields, "P", _vertex_list, "spr")
         path_target = _field(fields, "P2", _vertex_list, "spr")
         if "c" not in header:
@@ -215,8 +212,6 @@ def _cmd_reduce(args):
         for new_id, orig in sorted(out.source_vertex.items()):
             meta_lines.append(f"orig: {new_id} {orig}")
         meta_lines.append("order: " + " ".join(str(v) for v in out.order))
-    else:
-        raise InvariantError(f"unknown reduction kind '{args.kind}'")
     text = render_instance(inst)
     for line in extra:
         text += line + "\n"

@@ -284,11 +284,12 @@ def colorable(g_or_model, members, c):
     return make_tracker(g_or_model, members, c).colorable()
 
 
-def check_set_bounds(rep, c, start, target, k):
-    """The structural half of ``check_sets``: budgets, vertex range and sizes.
+def check_sets(rep, c, start, target, k, same_size=False):
+    """Raise InvariantError naming the first violated precondition on (c, k, S, S2).
 
-    Raise InvariantError naming the first violation; colorability is left to
-    the caller.
+    Checks c >= 1, k >= 0, the vertex range, |S|, |S2| >= k, that both sets
+    are c-colorable and, with ``same_size``, that |S| = |S2|.  Returns the
+    feasibility trackers of S and S2 that the colorability test built.
     """
     if c < 1:
         raise InvariantError("color budget c must be at least 1")
@@ -301,20 +302,15 @@ def check_set_bounds(rep, c, start, target, k):
                 raise InvariantError(f"{name}: vertex {v} out of range")
     if len(start) < k or len(target) < k:
         raise InvariantError("threshold violated: |S| and |S2| must be at least k")
-
-
-def check_sets(rep, c, start, target, k, same_size=False):
-    """Raise InvariantError naming the first violated precondition on (c, k, S, S2).
-
-    Checks c >= 1, k >= 0, the vertex range, |S|, |S2| >= k, that both sets
-    are c-colorable and, with ``same_size``, that |S| = |S2|.
-    """
-    check_set_bounds(rep, c, start, target, k)
+    trackers = []
     for name, s in (("S", start), ("S2", target)):
-        if not colorable(rep, s, c):
+        tracker = make_tracker(rep, s, c)
+        if not tracker.colorable():
             raise InvariantError(f"{name} is not {c}-colorable")
+        trackers.append(tracker)
     if same_size and len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2| under tj/ts")
+    return tuple(trackers)
 
 
 class _IntervalTracker:

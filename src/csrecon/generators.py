@@ -1,6 +1,8 @@
 """Seeded random instances for tests, benchmarks, and the gen command."""
 from __future__ import annotations
 
+from itertools import combinations
+
 from .core import Graph, SplitModel, make_tracker, model_from_intervals
 from .instances import Instance, check_instance
 
@@ -46,11 +48,8 @@ def random_split_model(rng, n, p=0.5):
     size_k = rng.randint(0, n)
     kpart = set(rng.sample(range(n), size_k))
     ipart = set(range(n)) - kpart
-    edges = []
     ksorted = sorted(kpart)
-    for i, u in enumerate(ksorted):
-        for v in ksorted[i + 1:]:
-            edges.append((u, v))
+    edges = list(combinations(ksorted, 2))
     for u in sorted(ipart):
         for v in ksorted:
             if rng.random() < p:

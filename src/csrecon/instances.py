@@ -170,8 +170,7 @@ def parse_document(text):
     def take(count, what):
         nonlocal pos
         if pos + count > len(entries):
-            raise FormatError(f"body ended early while reading {what}",
-                              entries[-1][0] if entries else 1)
+            raise FormatError(f"body ended early while reading {what}", entries[-1][0])
         chunk = entries[pos:pos + count]
         pos += count
         return chunk

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InvariantError, check_set_bounds, make_tracker
+from .core import InvariantError, check_sets, make_tracker
 from .instances import ReconSequence
 
 IDENTICAL = "identical"
@@ -65,13 +65,7 @@ def tar_distance(model, c, start, target, k):
     """Exact TAR(k) distance, with the structural case tag and witnesses."""
     start = set(start)
     target = set(target)
-    check_set_bounds(model, c, start, target, k)
-    t_a = make_tracker(model, start, c)
-    if not t_a.colorable():
-        raise InvariantError(f"S is not {c}-colorable")
-    t_b = make_tracker(model, target, c)
-    if not t_b.colorable():
-        raise InvariantError(f"S2 is not {c}-colorable")
+    t_a, t_b = check_sets(model, c, start, target, k)
     if start == target:
         return DistanceVerdict(IDENTICAL, 0)
     # a set above the floor can always move; at it, the smallest extension in G
@@ -110,8 +104,6 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
         verdict = tar_distance(model, c, start, target, k)
     if verdict.distance == math.inf:
         return None
-    if verdict.case == IDENTICAL:
-        return ReconSequence(set(start), [])
     a = set(start)
     b = set(target)
     prefix = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import Graph, InvariantError, SplitModel, bfs
 
@@ -47,11 +48,8 @@ def oct_to_colorable_set(g, c, k):
             group = list(range(nxt, nxt + c - 2))
             nxt += c - 2
             padding.append(group)
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    edges.append((u, v))
-                for v in range(n):
-                    edges.append((u, v))
+            edges.extend(combinations(group, 2))
+            edges.extend((u, v) for u in group for v in range(n))
     graph = Graph(nxt, edges)
     return JoinOutput(graph, c, k, nxt - k, padding)
 
@@ -96,7 +94,7 @@ def isr_to_split_csr(g, ind_start, ind_target):
     src_edges = sorted(g.edges())
     m = len(src_edges)
     n = g.n
-    hedges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    hedges = list(combinations(range(n), 2))
     edge_of_vertex = {}
     for j, (eu, ev) in enumerate(src_edges):
         ev_vertex = n + j
@@ -180,14 +178,12 @@ def spr_to_cocomp_csr(g, s, t, path_start, path_target, c):
         layers_src.append(sorted(v for v in range(g.n)
                                  if dist_s[v] == i and dist_t[v] == length - i))
     source_vertex = {}
-    new_of = {}
     layers = []
     nxt = 0
     for layer in layers_src:
         ids = []
         for v in layer:
             source_vertex[nxt] = v
-            new_of[v] = nxt
             ids.append(nxt)
             nxt += 1
         layers.append(ids)
@@ -196,20 +192,15 @@ def spr_to_cocomp_csr(g, s, t, path_start, path_target, c):
         group = list(range(nxt, nxt + c - 1))
         nxt += c - 1
         padding.append(group)
-    edges = []
-    for ids in layers:
-        for i, u in enumerate(ids):
-            for v in ids[i + 1:]:
-                edges.append((u, v))
+    edges = [e for ids in layers for e in combinations(ids, 2)]
     for i in range(length):
         for u in layers[i]:
             for v in layers[i + 1]:
                 if not g.has_edge(source_vertex[u], source_vertex[v]):
                     edges.append((u, v))
     for i, group in enumerate(padding):
-        for a, u in enumerate(group):
-            for v in group[a + 1:]:
-                edges.append((u, v))
+        edges.extend(combinations(group, 2))
+        for u in group:
             for v in layers[i]:
                 edges.append((u, v))
             if i + 1 <= length:

@@ -130,6 +130,36 @@ def test_split_tj_refuses_sequence_emission(tmp_path, capsys, target):
     assert not seq_path.exists()
 
 
+EDGES_PATH = """\
+format: csr/1
+rule: tar
+c: 1
+k: 0
+repr: edges
+n: 3
+body:
+2
+0 1
+1 2
+S: 0
+S2: 2
+"""
+
+
+def test_emit_sequence_without_out_is_refused_before_solving(tmp_path, capsys):
+    cases = [("solve", E1), ("solve", E1.replace("rule: tar", "rule: tj")),
+             ("solve", SPLIT_REACHABLE), ("oracle", EDGES_PATH)]
+    for i, (command, text) in enumerate(cases):
+        inst = _write(tmp_path, f"{i}.csr", text)
+        code = main([command, inst, "--emit-sequence"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--emit-sequence requires --out" in captured.err
+    # the report ignores --emit-sequence
+    code = main(["oracle", inst, "--report", "--emit-sequence"])
+    assert code == 0 and capsys.readouterr().out.startswith("components: ")
+
+
 def test_distance_command(tmp_path, capsys):
     inst = _write(tmp_path, "e4.csr", E4)
     code = main(["distance", inst])

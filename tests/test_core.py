@@ -11,6 +11,7 @@ from csrecon import (
     InvariantError,
     ResourceLimitError,
     SplitModel,
+    check_sets,
     colorable,
     is_colorable_clique_bound,
     is_colorable_exact,
@@ -263,6 +264,24 @@ def test_greedy_set_is_colorable_and_maximal():
             assert colorable(rep, chosen, c)
             for v in set(range(n)) - chosen:
                 assert not colorable(rep, chosen | {v}, c)
+
+
+def test_check_sets_returns_trackers_of_both_sets():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        c = rng.randint(1, 3)
+        reps = (model_from_intervals(random_endpoints(rng, n)),
+                random_split_model(rng, n), random_graph(rng, n, p=0.5))
+        for rep in reps:
+            start = greedy_set(rep, c, rng, target=rng.randint(0, n))
+            target = greedy_set(rep, c, rng, target=rng.randint(0, n))
+            trackers = check_sets(rep, c, start, target, min(len(start), len(target)))
+            for tracker, members in zip(trackers, (start, target)):
+                fresh = make_tracker(rep, members, c)
+                others = [v for v in range(n) if v not in members]
+                assert tracker.colorable() and fresh.colorable()
+                assert [tracker.can_add(v) for v in others] == [fresh.can_add(v) for v in others]
 
 
 def test_bfs_parents_goal_and_component():

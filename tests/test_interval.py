@@ -104,6 +104,12 @@ def test_precondition_errors(e1_model):
         tar_distance(e1_model, 1, {0, 1}, {2}, 0)
     with pytest.raises(InvariantError, match="out of range"):
         tar_distance(e1_model, 1, {9}, {2}, 0)
+    with pytest.raises(InvariantError, match="color budget c must be at least 1"):
+        tar_distance(e1_model, 0, {0}, {2}, 0)
+    with pytest.raises(InvariantError, match="threshold k must be nonnegative"):
+        tar_distance(e1_model, 1, {0}, {2}, -1)
+    with pytest.raises(InvariantError, match="S2 is not 1-colorable"):
+        tar_distance(e1_model, 1, {0}, {1, 2}, 0)
 
 
 def test_tj_examples(e1_model, e2_model):
