@@ -137,6 +137,8 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     inst = parse_instance(_read(args.instance))
+    if args.report and args.emit_sequence:
+        raise InvariantError("--emit-sequence cannot be combined with --report")
     if not args.report:
         _require_out(args, args.emit_sequence)
         return _solve_oracle(inst, args, emit=args.emit_sequence)

@@ -4,6 +4,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate
 
+DEFAULT_EXACT_LIMIT = 64  # largest set the exact coloring backtracks over by default
+
 
 class InvariantError(ValueError):
     """Input data violates a structural precondition; the message names it."""
@@ -26,11 +28,11 @@ class ResourceLimitError(RuntimeError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Adjacency is stored as per-vertex sorted lists; neighbor sets are built
-    lazily for O(1) edge tests.
+    Adjacency is stored as per-vertex sorted lists; neighbor sets (for O(1)
+    edge tests) and neighbor bitmasks are built lazily.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_neighbor_sets")
+    __slots__ = ("n", "m", "adjacency", "_neighbor_sets", "_neighbor_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -54,12 +56,20 @@ class Graph:
         self.m = len(seen)
         self.adjacency = adjacency
         self._neighbor_sets = None
+        self._neighbor_masks = None
 
     @property
     def neighbor_sets(self):
         if self._neighbor_sets is None:
             self._neighbor_sets = [set(lst) for lst in self.adjacency]
         return self._neighbor_sets
+
+    @property
+    def neighbor_masks(self):
+        """Bit u of entry v is set when u is a neighbor of v."""
+        if self._neighbor_masks is None:
+            self._neighbor_masks = _NeighborMasks(self.adjacency)
+        return self._neighbor_masks
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -80,6 +90,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _NeighborMasks(dict):
+    """Neighbor bitmasks, each built on first lookup; a full table takes O(n^2) bits."""
+
+    def __init__(self, adjacency):
+        self.adjacency = adjacency
+
+    def __missing__(self, v):
+        self[v] = mask = sum(1 << u for u in self.adjacency[v])
+        return mask
 
 
 class IntervalModel:
@@ -240,43 +261,47 @@ def is_colorable_clique_bound(model, members, c):
     return make_tracker(model, members, c).colorable()
 
 
-def is_colorable_exact(g, members, c, limit=64):
+def is_colorable_exact(g, members, c, limit=DEFAULT_EXACT_LIMIT):
     """Exact colorability of the induced subgraph by backtracking.
 
+    Guarded by ``limit`` on the set size; raise the limit explicitly for
+    bigger sets.
+    """
+    return _exact_classes(g, members, c, limit) is not None
+
+
+def _exact_classes(g, members, c, limit=DEFAULT_EXACT_LIMIT):
+    """A proper coloring of ``members`` as min(c, n) class bitmasks, or None.
+
     Color symmetry is broken by letting each vertex use at most one color
-    beyond the highest color placed so far.  Guarded by ``limit`` on the set
-    size; raise the limit explicitly for bigger sets.
+    beyond the highest color placed so far.
     """
     verts = sorted(members)
     if c < 0:
         raise InvariantError("color budget must be nonnegative")
     if len(verts) <= c:
-        return True
+        return [1 << v for v in verts] + [0] * (min(c, g.n) - len(verts))
     if c == 0:
-        return not verts
+        return None
     if len(verts) > limit:
         raise ResourceLimitError(
             f"exact coloring guard: set size {len(verts)} exceeds {limit}")
-    pos = {v: i for i, v in enumerate(verts)}
-    nbrs = g.neighbor_sets
-    earlier = []
-    for i, v in enumerate(verts):
-        earlier.append([pos[u] for u in nbrs[v] if pos.get(u, i) < i])
-    colors = [0] * len(verts)
+    nbrs = g.neighbor_masks
+    classes = [0] * c
 
     def extend(i, used):
         if i == len(verts):
             return True
-        banned = {colors[j] for j in earlier[i]}
-        for color in range(1, min(used + 1, c) + 1):
-            if color not in banned:
-                colors[i] = color
-                if extend(i + 1, max(used, color)):
+        v = verts[i]
+        for color in range(min(used + 1, c)):
+            if not classes[color] & nbrs[v]:
+                classes[color] |= 1 << v
+                if extend(i + 1, max(used, color + 1)):
                     return True
-        colors[i] = 0
+                classes[color] ^= 1 << v
         return False
 
-    return extend(0, 0)
+    return classes if extend(0, 0) else None
 
 
 def colorable(g_or_model, members, c):
@@ -390,33 +415,64 @@ class _SplitTracker:
 
 
 class _ExactTracker:
+    """A set of a plain graph with a proper coloring kept as class bitmasks.
+
+    ``can_add(v)`` backtracks only when v sees every color, keeping the
+    coloring it finds; the start set is colored on first use.
+    """
+
     def __init__(self, g, members, c):
         self.g = g
+        self.nbrs = g.neighbor_masks
         self.c = c
         self.members = set(members)
+        self.classes = None     # coloring of the members; None until needed, or if none
 
     def colorable(self):
-        return is_colorable_exact(self.g, self.members, self.c)
+        if self.classes is None or len(self.members) > max(DEFAULT_EXACT_LIMIT, self.c):
+            self.classes = _exact_classes(self.g, self.members, self.c)  # raises past the guard
+        return self.classes is not None
+
+    def _free_class(self, v):
+        seen = self.nbrs[v]
+        for i, cls in enumerate(self.classes):
+            if not cls & seen:
+                return i
 
     def can_add(self, v):
         members = self.members
-        members.add(v)
-        ok = is_colorable_exact(self.g, members, self.c)
-        members.discard(v)
-        return ok
+        if len(members) >= max(DEFAULT_EXACT_LIMIT, self.c):  # past the guard: answer or raise
+            return _exact_classes(self.g, members | {v}, self.c) is not None
+        if not self.colorable():
+            return False
+        if self._free_class(v) is not None:
+            return True
+        classes = _exact_classes(self.g, members | {v}, self.c)
+        if classes is not None:
+            self.classes = [cls & ~(1 << v) for cls in classes]
+        return classes is not None
 
     def add(self, v):
         self.members.add(v)
+        if self.classes is not None:
+            i = self._free_class(v)
+            if i is None:
+                self.classes = None     # recolored on next use
+            else:
+                self.classes[i] |= 1 << v
 
     def remove(self, v):
         self.members.discard(v)
+        if self.classes is not None:
+            self.classes = [cls & ~(1 << v) for cls in self.classes]
 
 
 def make_tracker(rep, members, c):
     """Feasibility of a vertex set of ``rep``, one tracker per representation.
 
-    ``colorable()`` tests the whole set; ``can_add``, ``add`` and ``remove``
-    keep it up to date step by step.
+    ``colorable()`` tests the whole set; ``can_add(v)`` asks about adding a
+    nonmember v and never changes the set, whatever v is; ``add`` and
+    ``remove`` keep it up to date step by step.
     """
     if isinstance(rep, IntervalModel):
         return _IntervalTracker(rep, members, c)

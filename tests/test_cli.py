@@ -155,9 +155,11 @@ def test_emit_sequence_without_out_is_refused_before_solving(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--emit-sequence requires --out" in captured.err
-    # the report ignores --emit-sequence
+    # the report has no sequence to write, so it refuses --emit-sequence
     code = main(["oracle", inst, "--report", "--emit-sequence"])
-    assert code == 0 and capsys.readouterr().out.startswith("components: ")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--emit-sequence cannot be combined with --report" in captured.err
 
 
 def test_distance_command(tmp_path, capsys):

@@ -18,6 +18,7 @@ from csrecon import (
     model_from_intervals,
     split_partition,
 )
+from csrecon import core
 from csrecon.core import bfs, bfs_path, make_tracker
 from csrecon.generators import greedy_set, random_endpoints, random_graph, random_split_model
 
@@ -282,6 +283,103 @@ def test_check_sets_returns_trackers_of_both_sets():
                 others = [v for v in range(n) if v not in members]
                 assert tracker.colorable() and fresh.colorable()
                 assert [tracker.can_add(v) for v in others] == [fresh.can_add(v) for v in others]
+
+
+def test_can_add_never_changes_the_set():
+    g = complete_graph(3)
+    tracker = make_tracker(g, {0, 1}, 2)
+    assert not tracker.can_add(2)
+    tracker.can_add(0)
+    assert tracker.colorable() and not tracker.can_add(2)
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        c = rng.randint(1, 3)
+        reps = (model_from_intervals(random_endpoints(rng, n)),
+                random_split_model(rng, n), random_graph(rng, n, p=0.5))
+        for rep in reps:
+            # a maximal set: dropping any member would let some nonmember in
+            members = greedy_set(rep, c, rng)
+            tracker = make_tracker(rep, members, c)
+            others = [v for v in range(n) if v not in members]
+            answers = [tracker.can_add(v) for v in others]
+            for v in rng.sample(range(n), n):
+                tracker.can_add(v)
+            assert tracker.colorable()
+            assert [tracker.can_add(v) for v in others] == answers
+
+
+def test_exact_tracker_walk_matches_brute_force(monkeypatch):
+    # the reference is the brute force, since is_colorable_exact shares the
+    # tracker's backtracking; both ways of recoloring must come up
+    calls = 0
+    exact_classes = core._exact_classes
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return exact_classes(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_exact_classes", counted)
+    rng = random.Random(41)
+    adds_after_backtracking = adds_recolored_later = 0
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        c = rng.randint(1, 3)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 0.7))
+        known = {}
+
+        def fits(s):
+            key = frozenset(s)
+            if key not in known:
+                known[key] = brute_force_colorable(g, s, c)
+            return known[key]
+
+        members = set()
+        tracker = make_tracker(g, members, c)
+        for _ in range(40):
+            v = rng.randrange(n)
+            asked = False
+            if v in members:
+                tracker.remove(v)
+                members.remove(v)
+            elif rng.random() < 0.6:
+                before = calls
+                ok = tracker.can_add(v)
+                assert ok == fits(members | {v}), (g.adjacency, members, v, c)
+                if ok:
+                    adds_after_backtracking += calls > before
+                    tracker.add(v)
+                    members.add(v)
+                    asked = True
+            elif fits(members | {v}):
+                tracker.add(v)
+                members.add(v)
+            before = calls
+            assert tracker.colorable()
+            if asked:
+                # the coloring can_add kept, or had, has a class free for v
+                assert calls == before
+            else:
+                adds_recolored_later += calls > before
+    assert adds_after_backtracking and adds_recolored_later
+
+
+def test_exact_tracker_keeps_the_guard():
+    g = Graph(70)
+    tracker = make_tracker(g, range(64), 1)
+    assert tracker.colorable()
+    with pytest.raises(ResourceLimitError, match="set size 65 exceeds 64"):
+        tracker.can_add(64)
+    with pytest.raises(ResourceLimitError, match="set size 65 exceeds 64"):
+        make_tracker(g, range(65), 1).colorable()
+    tracker.add(64)
+    with pytest.raises(ResourceLimitError, match="set size 65 exceeds 64"):
+        tracker.colorable()
+    assert is_colorable_exact(g, range(66), 1, limit=70)
+    # below the guard, or within the color budget, the tracker answers
+    assert make_tracker(g, range(63), 1).can_add(63)
+    assert make_tracker(g, range(69), 70).can_add(69)
 
 
 def test_bfs_parents_goal_and_component():

@@ -19,7 +19,7 @@ from csrecon import (
 )
 from csrecon.core import adjacent_in
 from csrecon.generators import random_endpoints, random_graph, random_split_model
-from csrecon import oracle
+from csrecon import core, oracle
 from csrecon.oracle import build_state_space
 
 from conftest import complete_graph, path_graph
@@ -217,3 +217,19 @@ def test_tar_tj_relation_on_plain_graphs():
         if tar != math.inf:
             assert tar == 2 * tj
         checked += 1
+
+
+def test_enumeration_backtracks_only_when_no_color_is_free(monkeypatch):
+    # edgeless: every vertex finds a free class, so the only full coloring is
+    # that of the empty start set
+    calls = 0
+    exact_classes = core._exact_classes
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return exact_classes(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_exact_classes", counted)
+    assert len(enumerate_colorable_sets(Graph(12), 2)) == 2 ** 12
+    assert calls <= 1
