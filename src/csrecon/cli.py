@@ -10,7 +10,7 @@ import argparse
 import math
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .core import FormatError, IntervalModel, InvariantError, ResourceLimitError, SplitModel
 from .generators import (
@@ -224,6 +224,11 @@ def _cmd_reduce(args):
 
 
 def _cmd_gen(args):
+    if args.n < 0:
+        raise InvariantError("vertex count must be nonnegative")
+    for flag, value, low in (("--coord-max", args.coord_max, 1), ("--max-len", args.max_len, 0)):
+        if value is not None and value < low:
+            raise InvariantError(f"{flag} must be at least {low}")
     rng = random.Random(args.seed)
     if args.repr == "interval":
         inst = random_interval_instance(rng, args.n, args.c, rule=args.rule,
@@ -253,6 +258,7 @@ def _add_oracle_flags(sub):
                           f"{DEFAULT_REPORT_MAX_STATES} with --report)")
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="csrecon",

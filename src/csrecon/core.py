@@ -110,25 +110,15 @@ class IntervalModel:
     consecutive run; ``spans[v] = (l, r)`` gives that run with 1-based
     indices. Two vertices are adjacent exactly when their spans intersect,
     and the spans themselves form an interval representation of the graph.
+    ``model_from_intervals`` builds it; the constructor only stores its arguments.
     """
 
     __slots__ = ("t", "spans", "_cliques")
 
     def __init__(self, t, spans):
         self.t = t
-        self.spans = [(int(l), int(r)) for l, r in spans]
-        for v, (l, r) in enumerate(self.spans):
-            if not (1 <= l <= r <= t):
-                raise InvariantError(f"span of vertex {v} falls outside 1..{t}")
+        self.spans = spans
         self._cliques = None
-
-    @classmethod
-    def _prevalidated(cls, t, spans):
-        model = cls.__new__(cls)
-        model.t = t
-        model.spans = spans
-        model._cliques = None
-        return model
 
     @property
     def n(self):
@@ -188,7 +178,7 @@ class SplitModel:
 def model_from_intervals(endpoints):
     """Build the clique-path model whose adjacency equals interval intersection.
 
-    ``endpoints[v] = (left, right)`` with ``left <= right``, integers.  A
+    ``endpoints`` is a list of int pairs ``(left, right)`` with ``left <= right``.  A
     single left-to-right sweep over the endpoint events finds the maximal
     cliques: the active set is emitted whenever some interval ends at the
     current coordinate and some interval has started since the last emission.
@@ -196,7 +186,6 @@ def model_from_intervals(endpoints):
     is needed afterwards.  Only clique coordinates and per-vertex spans are
     computed here; member lists are materialized lazily.
     """
-    endpoints = [(int(l), int(r)) for l, r in endpoints]
     for v, (l, r) in enumerate(endpoints):
         if l > r:
             raise InvariantError(f"malformed endpoint pair for vertex {v}: ({l}, {r})")
@@ -234,7 +223,7 @@ def model_from_intervals(endpoints):
         while p + 1 < t and emit_coords[p + 1] <= r:
             p += 1
         right_idx[x - r * n] = p + 1
-    return IntervalModel._prevalidated(t, list(zip(left_idx, right_idx)))
+    return IntervalModel(t, list(zip(left_idx, right_idx)))
 
 
 def interval_clique_counts(model, members):
@@ -344,7 +333,8 @@ class _IntervalTracker:
     def __init__(self, model, members, c):
         self.spans = model.spans
         self.c = c
-        self.counts = interval_clique_counts(model, members)
+        self.members = set(members)
+        self.counts = interval_clique_counts(model, self.members)
 
     def colorable(self):
         return max(self.counts, default=0) <= self.c
@@ -355,26 +345,29 @@ class _IntervalTracker:
         c = self.c
         return all(counts[i] < c for i in range(l - 1, r))
 
-    def addable(self, exclude, among=None):
-        """Vertices outside ``exclude`` (of ``among`` when given) that can be added, ascending.
+    def addable(self, among=None):
+        """Nonmembers (of ``among`` when given) that can be added, ascending.
 
         A vertex fits iff no clique of its span is full; one prefix sum over
         the full cliques answers that in O(1) per vertex.
         """
         full = [0, *accumulate(map(self.c.__le__, self.counts))]
         spans = self.spans
+        members = self.members
         for v in range(len(spans)) if among is None else sorted(among):
-            if v not in exclude:
+            if v not in members:
                 l, r = spans[v]
                 if full[r] == full[l - 1]:
                     yield v
 
     def add(self, v):
+        self.members.add(v)
         l, r = self.spans[v]
         for i in range(l - 1, r):
             self.counts[i] += 1
 
     def remove(self, v):
+        self.members.discard(v)
         l, r = self.spans[v]
         for i in range(l - 1, r):
             self.counts[i] -= 1
@@ -391,27 +384,31 @@ class _SplitTracker:
         self.clique_part = model.clique_part
         self.nbrs = model.graph.neighbor_sets
         self.c = c
-        self.chosen = set(members) & model.clique_part
-        self.ind = set(members) & model.independent_part
+        self.members = set(members)
+        self.chosen = self.members & model.clique_part
 
-    def _closes_clique(self, chosen, ind):
+    def _closes_clique(self, chosen, others):
+        # scanning clique members too is harmless: none is its own neighbour
         nbrs = self.nbrs
-        return len(chosen) == self.c and any(chosen <= nbrs[u] for u in ind)
+        return len(chosen) == self.c and any(chosen <= nbrs[u] for u in others)
 
     def colorable(self):
-        return len(self.chosen) <= self.c and not self._closes_clique(self.chosen, self.ind)
+        return len(self.chosen) <= self.c and not self._closes_clique(self.chosen, self.members)
 
     def can_add(self, v):
         if v in self.clique_part:
             grown = self.chosen | {v}
-            return len(grown) <= self.c and not self._closes_clique(grown, self.ind)
+            return len(grown) <= self.c and not self._closes_clique(grown, self.members)
         return not self._closes_clique(self.chosen, (v,))
 
     def add(self, v):
-        (self.chosen if v in self.clique_part else self.ind).add(v)
+        self.members.add(v)
+        if v in self.clique_part:
+            self.chosen.add(v)
 
     def remove(self, v):
-        (self.chosen if v in self.clique_part else self.ind).discard(v)
+        self.members.discard(v)
+        self.chosen.discard(v)
 
 
 class _ExactTracker:
@@ -470,9 +467,10 @@ class _ExactTracker:
 def make_tracker(rep, members, c):
     """Feasibility of a vertex set of ``rep``, one tracker per representation.
 
-    ``colorable()`` tests the whole set; ``can_add(v)`` asks about adding a
-    nonmember v and never changes the set, whatever v is; ``add`` and
-    ``remove`` keep it up to date step by step.
+    The tracker copies the set into ``members``, which callers read but change
+    only through ``add`` and ``remove``.  ``colorable()`` tests the whole set;
+    ``can_add(v)`` asks about adding a nonmember v and never changes the set,
+    whatever v is.
     """
     if isinstance(rep, IntervalModel):
         return _IntervalTracker(rep, members, c)

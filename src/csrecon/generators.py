@@ -30,14 +30,12 @@ def greedy_set(rep, c, rng, target=None):
     if target is None:
         target = rep.n
     tracker = make_tracker(rep, (), c)
-    chosen = set()
     for v in order:
-        if len(chosen) >= target:
+        if len(tracker.members) >= target:
             break
         if tracker.can_add(v):
             tracker.add(v)
-            chosen.add(v)
-    return chosen
+    return tracker.members
 
 
 # the per-representation names predate greedy_set and are still imported

@@ -178,6 +178,8 @@ def parse_document(text):
     def read_graph():
         (entry,) = take(1, "edge count")
         m = _int(entry[1], "edge count", entry[0])
+        if m < 0:
+            raise FormatError("edge count must be nonnegative", entry[0])
         edges = []
         for e in take(m, "edges"):
             u, v, lineno = _int_pair(e, "edge")
@@ -326,8 +328,8 @@ def verify_sequence(inst, seq):
     if set(seq.start) != set(inst.start):
         return VerifyResult(False, None, "start set does not match S")
     n = inst.n
-    cur = set(seq.start)
-    tracker = make_tracker(inst.representation, cur, inst.c)
+    tracker = make_tracker(inst.representation, seq.start, inst.c)
+    members = tracker.members  # kept in step by the tracker's add and remove
     tar = inst.rule == "tar"
     for i, step in enumerate(seq.steps):
         kind = step[0]
@@ -339,36 +341,32 @@ def verify_sequence(inst, seq):
             v = step[1]
             if not 0 <= v < n:
                 return VerifyResult(False, i, f"vertex {v} out of range")
-            if v in cur:
+            if v in members:
                 return VerifyResult(False, i, f"vertex {v} already in set")
             if not tracker.can_add(v):
                 return VerifyResult(False, i, f"set not {inst.c}-colorable after adding {v}")
             tracker.add(v)
-            cur.add(v)
         elif kind == "-":
             v = step[1]
-            if v not in cur:
+            if v not in members:
                 return VerifyResult(False, i, f"vertex {v} not in set")
             tracker.remove(v)
-            cur.remove(v)
-            if len(cur) < inst.k:
+            if len(members) < inst.k:
                 return VerifyResult(False, i, "size below threshold")
         else:
             u, v = step[1], step[2]
             if not 0 <= v < n:
                 return VerifyResult(False, i, f"vertex {v} out of range")
-            if u not in cur:
+            if u not in members:
                 return VerifyResult(False, i, f"vertex {u} not in set")
-            if v in cur:
+            if v in members:
                 return VerifyResult(False, i, f"vertex {v} already in set")
             if inst.rule == "ts" and not adjacent_in(inst.representation, u, v):
                 return VerifyResult(False, i, f"not an edge: {u} {v}")
             tracker.remove(u)
-            cur.remove(u)
             if not tracker.can_add(v):
                 return VerifyResult(False, i, f"set not {inst.c}-colorable after swap {u}>{v}")
             tracker.add(v)
-            cur.add(v)
-    if cur != set(inst.target):
+    if members != set(inst.target):
         return VerifyResult(False, len(seq.steps), "final set does not match S2")
     return VerifyResult(True)

@@ -44,13 +44,13 @@ def find_addable(model, members, c):
 
     A None result certifies that the set is maximal.
     """
-    return next(make_tracker(model, members, c).addable(members), None)
+    return next(make_tracker(model, members, c).addable(), None)
 
 
 def find_common_addable(model, s_a, s_b, c):
     """Smallest vertex outside both sets whose addition keeps both colorable."""
     t_b = make_tracker(model, s_b, c)
-    return next((v for v in make_tracker(model, s_a, c).addable(s_a)
+    return next((v for v in make_tracker(model, s_a, c).addable()
                  if v not in s_b and t_b.can_add(v)), None)
 
 
@@ -58,7 +58,7 @@ def is_locked_within(model, members, k, c, within):
     """True iff the set has size exactly k and no vertex of ``within`` extends it."""
     if len(members) != k:
         return False
-    return next(make_tracker(model, members, c).addable(members, within), None) is None
+    return next(make_tracker(model, members, c).addable(within), None) is None
 
 
 def tar_distance(model, c, start, target, k):
@@ -70,20 +70,20 @@ def tar_distance(model, c, start, target, k):
         return DistanceVerdict(IDENTICAL, 0)
     # a set above the floor can always move; at it, the smallest extension in G
     # decides locked-in-G and is the witness of case2 and case3b
-    u = next(t_a.addable(start), None) if len(start) == k else None
-    w = next(t_b.addable(target), None) if len(target) == k else None
+    u = next(t_a.addable(), None) if len(start) == k else None
+    w = next(t_b.addable(), None) if len(target) == k else None
     if len(start) == k and u is None or len(target) == k and w is None:
         return DistanceVerdict(LOCKED, math.inf)
     delta = len(start ^ target)
-    locked_a = len(start) == k and next(t_a.addable(start, target - start), None) is None
-    locked_b = len(target) == k and next(t_b.addable(target, start - target), None) is None
+    locked_a = len(start) == k and next(t_a.addable(target - start), None) is None
+    locked_b = len(target) == k and next(t_b.addable(start - target), None) is None
     if not locked_a and not locked_b:
         return DistanceVerdict(CASE1, delta)
     if locked_a != locked_b:
         if locked_a:
             return DistanceVerdict(CASE2, delta + 2, (u,), locked_side="start")
         return DistanceVerdict(CASE2, delta + 2, (w,), locked_side="target")
-    v = next((v for v in t_a.addable(start) if v not in target and t_b.can_add(v)), None)
+    v = next((v for v in t_a.addable() if v not in target and t_b.can_add(v)), None)
     if v is not None:
         return DistanceVerdict(CASE3A, delta + 2, (v,))
     return DistanceVerdict(CASE3B, delta + 4, (u, w))
@@ -202,7 +202,7 @@ def _resolve_unlocked(model, c, k, a, b, prefix, suffix):
 
 def _extend_at_floor(model, c, members, candidates, out):
     """Add the smallest candidate that keeps ``members`` colorable, recording the step."""
-    v = next(make_tracker(model, members, c).addable(members, candidates), None)
+    v = next(make_tracker(model, members, c).addable(candidates), None)
     if v is None:
         raise RuntimeError("no extension found for an unlocked set")
     out.append(("+", v))

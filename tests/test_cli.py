@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from csrecon import parse_instance, parse_sequence, verify_sequence
-from csrecon.cli import main
+from csrecon.cli import build_parser, main
 
 E1 = """\
 format: csr/1
@@ -238,6 +239,23 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert inst.n == 10 and inst.c == 2
 
 
+@pytest.mark.parametrize("shape, message", [
+    (["--repr", "interval", "--n", "-5"], "vertex count must be nonnegative"),
+    (["--repr", "split", "--n", "-5"], "vertex count must be nonnegative"),
+    (["--repr", "interval", "--n", "5", "--coord-max", "0"], "--coord-max must be at least 1"),
+    (["--repr", "interval", "--n", "5", "--max-len", "-1"], "--max-len must be at least 0"),
+])
+def test_gen_rejects_bad_shape_arguments(tmp_path, capsys, shape, message):
+    out = tmp_path / "g.csr"
+    assert main(["gen", *shape, "--c", "2", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_gen_to_stdout(capsys):
     assert main(["gen", "--repr", "edges", "--n", "6", "--c", "1",
                  "--seed", "3"]) == 0
@@ -427,3 +445,26 @@ def test_cli_digest_tool_runs_and_is_deterministic():
     assert re.fullmatch(r"\d+ commands [0-9a-f]{64}\n", lines[0])
     assert int(lines[0].split()[0]) >= 2 * 9 * 6
     assert lines[0] == lines[1]
+
+
+def test_cli_digest_tool_compares_two_trees(tmp_path):
+    # a tree against itself agrees; one edited parse message shows up as
+    # exactly the corpus command that prints it
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    tool = [sys.executable, str(root / "tools" / "cli_digest.py"), "--seeds", "1"]
+    same = subprocess.run(tool + [src, src], capture_output=True, text=True)
+    assert same.returncode == 0
+    first, second = same.stdout.splitlines()
+    assert first == second and re.fullmatch(r"\d+ commands [0-9a-f]{64}", first)
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    instances = copy / "csrecon" / "instances.py"
+    text = instances.read_text()
+    assert text.count("unsupported format") == 1
+    instances.write_text(text.replace("unsupported format", "unknown format"))
+    edited = subprocess.run(tool + [src, str(copy)], capture_output=True, text=True)
+    assert edited.returncode == 1
+    lines = edited.stdout.splitlines()
+    assert len(lines) == 3 and lines[0] != lines[1]
+    assert re.fullmatch(r"differs: solve <tmp>/bad-\d+\.inst", lines[2])

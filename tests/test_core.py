@@ -50,6 +50,15 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 5)])
 
 
+def test_graph_edge_errors_name_the_fault():
+    with pytest.raises(InvariantError, match=r"^vertex index out of range in edge \(0, 5\)$"):
+        Graph(2, [(0, 5)])
+    with pytest.raises(InvariantError, match=r"^loop at vertex 1$"):
+        Graph(2, [(1, 1)])
+    with pytest.raises(InvariantError, match=r"^parallel edge \(0, 1\)$"):
+        Graph(2, [(1, 0), (0, 1)])
+
+
 def test_empty_graph_is_legal():
     g = Graph(0)
     assert g.n == 0 and g.m == 0
@@ -141,8 +150,8 @@ def test_interval_addable_scan_matches_brute_force():
         fits = [v for v in range(n)
                 if v not in members and is_colorable_exact(g, members | {v}, c)]
         tracker = make_tracker(model, members, c)
-        assert list(tracker.addable(members)) == fits
-        assert list(tracker.addable(members, among)) == [v for v in fits if v in among]
+        assert list(tracker.addable()) == fits
+        assert list(tracker.addable(among)) == [v for v in fits if v in among]
 
 
 # --- split recognition ------------------------------------------------------
@@ -307,6 +316,22 @@ def test_can_add_never_changes_the_set():
                 tracker.can_add(v)
             assert tracker.colorable()
             assert [tracker.can_add(v) for v in others] == answers
+            # the tracker owns its set: a walk of adds and removes keeps it in step
+            reference = set(members)
+            assert tracker.members == reference and tracker.members is not members
+            for _ in range(2 * n):
+                v = rng.randrange(n)
+                if v in reference:
+                    tracker.remove(v)
+                    reference.remove(v)
+                elif tracker.can_add(v):
+                    tracker.add(v)
+                    reference.add(v)
+                assert tracker.members == reference
+                if hasattr(tracker, "addable"):
+                    among = rng.sample(range(n), rng.randint(0, n))
+                    assert not reference & set(tracker.addable(among))
+                    assert not reference & set(tracker.addable())
 
 
 def test_exact_tracker_walk_matches_brute_force(monkeypatch):

@@ -97,6 +97,14 @@ S2: 2
     inst = parse_instance(text)
     assert isinstance(inst.representation, Graph)
     assert inst.representation.m == 2
+    with pytest.raises(FormatError, match=r"^line 8: edge count must be nonnegative$"):
+        parse_instance(text.replace("body:\n2\n", "body:\n-1\n"))
+    with pytest.raises(FormatError, match=r"^line 9: edge vertex out of range: 0 7$"):
+        parse_instance(text.replace("0 1\n", "0 7\n"))
+    with pytest.raises(FormatError, match=r"^loop at vertex 0$"):
+        parse_instance(text.replace("0 1\n", "0 0\n"))
+    with pytest.raises(FormatError, match=r"^parallel edge \(0, 1\)$"):
+        parse_instance(text.replace("1 2\n", "1 0\n"))
 
     split_text = """\
 format: csr/1

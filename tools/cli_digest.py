@@ -2,13 +2,16 @@
 
 Usage::
 
-    python tools/cli_digest.py SRC [--seeds N]
+    python tools/cli_digest.py SRC [OTHER_SRC] [--seeds N]
 
 SRC is the directory that holds the ``csrecon`` package (``src`` in a
-checkout), so two checkouts can be compared byte for byte::
+checkout).  With one tree the tool prints ``<count> commands <sha256>``, so
+two checkouts can be compared byte for byte.  With two trees it runs the
+corpus for each in a subprocess, prints both lines, then one ``differs:``
+line with the argv of every command whose record differs, and exits 1 on
+any difference::
 
-    python tools/cli_digest.py /path/to/other/checkout/src
-    python tools/cli_digest.py src
+    python tools/cli_digest.py /path/to/other/checkout/src src
 
 For every seed, representation (interval, split, edges) and rule (tar, tj,
 ts), ``gen`` writes an instance, which then goes through ``solve
@@ -25,11 +28,17 @@ maximal set, and k the smaller set's size.  Draws continue until every
 falls short.  Each goes through ``solve --emit-sequence --out``,
 ``distance``, ``oracle --emit-sequence --out`` and ``verify``.
 
-All commands run in process through ``csrecon.cli.main``.  The digest
-covers each command's arguments, exit code, stdout and stderr (with the
-temporary directory masked), the text of every case-corpus instance and
-the bytes of every file a command writes.  It prints ``<count> commands
-<sha256>``.
+A third, fixed corpus of malformed inputs holds one instance, sequence or
+reduction-source text per parse and validation error the CLI prints, and
+runs each guard and refusal once (``--max-n``, ``--max-states``,
+``--max-c``, the exact-coloring guard, ``--emit-sequence`` without
+``--out``, split tj emission and ``oracle --report --emit-sequence``).
+
+All commands run in process through ``csrecon.cli.main``.  A record holds
+the command's arguments, exit code, stdout and stderr (with the temporary
+directory masked) and the bytes of every file it writes; an exception that
+escapes ``main`` is recorded as a ``crash`` with its type and message.  The
+digest covers every record and the text of every case-corpus instance.
 """
 from __future__ import annotations
 
@@ -37,8 +46,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -77,20 +88,221 @@ def case_instances():
     return [text for case in CASES for text in found[case]]
 
 
+EDGES = """\
+format: csr/1
+rule: tar
+c: 1
+k: 0
+repr: edges
+n: 3
+body:
+2
+0 1
+1 2
+S: 0
+S2: 2
+"""
+INTERVALS = """\
+format: csr/1
+rule: tar
+c: 1
+k: 1
+repr: intervals
+n: 3
+body:
+1 1
+1 2
+2 2
+S: 0
+S2: 2
+"""
+SPLIT = """\
+format: csr/1
+rule: tar
+c: 1
+k: 0
+repr: split
+n: 3
+body:
+K: 0 1
+2
+0 1
+1 2
+S: 0
+S2: 2
+"""
+SOURCE = """\
+format: csr/1
+repr: edges
+n: 3
+body:
+2
+0 1
+1 2
+"""
+SPR_SOURCE = """\
+format: csr/1
+c: 2
+repr: edges
+n: 4
+body:
+3
+0 1
+1 2
+0 3
+s: 0
+t: 2
+P: 0 1 2
+P2: 0 1 2
+"""
+
+
+def _sub(text, *pairs):
+    """``text`` with each (old, new) pair replaced once; every ``old`` must occur."""
+    for old, new in zip(pairs[::2], pairs[1::2]):
+        if old not in text:
+            raise ValueError(f"{old!r} not in corpus text")
+        text = text.replace(old, new, 1)
+    return text
+
+
+def malformed_corpus():
+    """(argv, files) pairs: one per parse and validation error the CLI prints, then its guards.
+
+    An argv token that names a key of ``files`` stands for that text written
+    to a file; the token ``OUT`` stands for a path where no file exists yet.
+    """
+    def solve(text, *flags):
+        return ["solve", "inst", *flags], {"inst": text}
+
+    def oracle(*flags):
+        return ["oracle", "inst", *flags], {"inst": EDGES}
+
+    def verify(seq, inst=INTERVALS):
+        return ["verify", "inst", "seq"], {"inst": inst, "seq": seq}
+
+    def reduce(kind, text):
+        return ["reduce", "src", "--kind", kind, "--out", "OUT"], {"src": text}
+
+    ts = _sub(INTERVALS, "rule: tar", "rule: ts")
+    tj_pair = _sub(INTERVALS, "rule: tar", "rule: tj", "S: 0\n", "S: 0 2\n", "S2: 2", "S2: 0 2")
+    many = " ".join(map(str, range(65)))
+    return [
+        # instance parsing
+        solve(""),
+        solve(_sub(EDGES, "rule: tar", "rule tar")),
+        solve(_sub(EDGES, "body:", "body: 1")),
+        solve(_sub(EDGES, "c: 1", "c: 1\nc: 2")),
+        solve(EDGES.split("body:")[0]),
+        solve(_sub(EDGES, "format: csr/1\n", "")),
+        solve(_sub(EDGES, "csr/1", "csr/9")),
+        solve(_sub(EDGES, "repr: edges", "repr: tree")),
+        solve(_sub(EDGES, "n: 3", "n: three")),
+        solve(_sub(EDGES, "n: 3", "n: -1")),
+        solve(EDGES.split("1 2")[0]),
+        solve(_sub(EDGES, "body:\n2", "body:\ntwo")),
+        solve(_sub(EDGES, "body:\n2", "body:\n-1")),
+        solve(_sub(EDGES, "0 1\n", "0 1 2\n")),
+        solve(_sub(EDGES, "0 1\n", "0 x\n")),
+        solve(_sub(EDGES, "0 1\n", "0 7\n")),
+        solve(_sub(EDGES, "0 1\n", "0 0\n")),
+        solve(_sub(EDGES, "1 2\n", "1 0\n")),
+        solve(_sub(EDGES, "S2: 2", "S2: 2\nS: 1")),
+        solve(_sub(EDGES, "rule: tar\n", "")),
+        solve(_sub(EDGES, "rule: tar", "rule: slide")),
+        solve(_sub(EDGES, "c: 1", "c: one")),
+        solve(_sub(EDGES, "k: 0", "k: zero")),
+        solve(_sub(EDGES, "S2: 2\n", "")),
+        solve(_sub(EDGES, "S: 0", "S: 0 x")),
+        solve(_sub(INTERVALS, "1 2\n", "1\n")),
+        solve(_sub(INTERVALS, "1 2\n", "2 1\n")),
+        solve(_sub(INTERVALS, "n: 3", "n: 9")),
+        solve(SPLIT.split("K:")[0]),
+        solve(_sub(SPLIT, "K: 0 1", "J: 0 1")),
+        solve(_sub(SPLIT, "K: 0 1", "K: 0 y")),
+        solve(_sub(SPLIT, "K: 0 1", "K: 0 5")),
+        solve(_sub(SPLIT, "K: 0 1", "K: 0 2")),
+        solve(_sub(SPLIT, "K: 0 1", "K: 0")),
+        # instance validation
+        solve(_sub(EDGES, "c: 1", "c: 0")),
+        solve(_sub(EDGES, "k: 0", "k: -1")),
+        solve(_sub(EDGES, "S: 0", "S: 5")),
+        solve(_sub(EDGES, "k: 0", "k: 2")),
+        solve(_sub(EDGES, "S: 0", "S: 0 1")),
+        solve(_sub(EDGES, "S2: 2", "S2: 1 2")),
+        solve(_sub(EDGES, "rule: tar", "rule: tj", "S2: 2", "S2: 0 2")),
+        # sequence parsing and replay
+        verify(""),
+        verify("+1\n"),
+        verify("begin: 0\n"),
+        verify("start: q\n"),
+        verify("start: 0\n+x\n"),
+        verify("start: 0\n*2\n"),
+        verify("start: 1\n"),
+        verify("start: 0\n0>2\n"),
+        verify("start: 0\n+9\n"),
+        verify("start: 0\n+0\n"),
+        verify("start: 0\n+1\n"),
+        verify("start: 0\n-2\n"),
+        verify("start: 0\n-0\n"),
+        verify("start: 0\n+2\n"),
+        verify("start: 0\n+2\n", ts),
+        verify("start: 0\n0>9\n", ts),
+        verify("start: 0\n1>2\n", ts),
+        verify("start: 0\n0>0\n", ts),
+        verify("start: 0\n0>2\n", ts),
+        verify("start: 0 2\n0>1\n", tj_pair),
+        # reduction sources
+        reduce("oct", INTERVALS),
+        reduce("oct", SOURCE),
+        reduce("oct", "c: x\nk: 0\n" + SOURCE),
+        reduce("oct", "c: 1\nk: 0\n" + SOURCE),
+        reduce("oct", "c: 2\nk: 3\n" + SOURCE),
+        reduce("isr", SOURCE),
+        reduce("isr", SOURCE + "I: 0 9\nI2: 0\n"),
+        reduce("isr", SOURCE + "I: 0 1\nI2: 0\n"),
+        reduce("isr", SOURCE + "I: 0 2\nI2: 1\n"),
+        reduce("isr", _sub(SOURCE, "2\n0 1\n1 2\n", "0\n") + "I: 0 1 2\nI2: 0 1 2\n"),
+        reduce("spr", _sub(SPR_SOURCE, "c: 2\n", "")),
+        reduce("spr", _sub(SPR_SOURCE, "c: 2", "c: 0")),
+        reduce("spr", _sub(SPR_SOURCE, "s: 0", "s: 9")),
+        reduce("spr", _sub(SPR_SOURCE, "3\n0 1\n1 2\n", "2\n0 1\n")),
+        reduce("spr", _sub(SPR_SOURCE, "P: 0 1 2", "P: 0 2")),
+        reduce("spr", _sub(SPR_SOURCE, "P: 0 1 2", "P: 0 0 2")),
+        reduce("spr", _sub(SPR_SOURCE, "P2: 0 1 2", "P2: 0 3 2")),
+        (["solve", "OUT"], {}),
+        # guards and refusals
+        oracle("--max-n", "2"),
+        oracle("--max-states", "1"),
+        solve(SPLIT, "--max-c", "0"),
+        solve(_sub(EDGES, "n: 3", "n: 65", "2\n0 1\n1 2\n", "0\n", "S: 0", f"S: {many}")),
+        solve(EDGES, "--emit-sequence"),
+        oracle("--emit-sequence"),
+        solve(_sub(SPLIT, "rule: tar", "rule: tj"), "--emit-sequence", "--out", "OUT"),
+        oracle("--report", "--emit-sequence"),
+    ]
+
+
 def run_corpus(main, seeds, tmp):
-    """Run the command set for seeds 0..seeds-1 in ``tmp``; return (count, sha256)."""
-    digest = hashlib.sha256()
+    """Run the seeded commands for seeds 0..seeds-1, then the two fixed corpora, in ``tmp``.
+
+    Returns the command count and the records as (key, bytes) pairs, the
+    key being the command's argv with ``tmp`` masked.
+    """
+    records = []
     count = 0
 
     def run(*argv, writes=None):
         nonlocal count
+        count += 1
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(list(argv))
             except SystemExit as exc:
                 code = exc.code
-        count += 1
+            except Exception as exc:  # recorded, so that one crash cannot end the run
+                code = f"crash {type(exc).__name__}: {exc}"
         record = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
         if writes is not None:
             if os.path.exists(writes):
@@ -98,8 +310,13 @@ def run_corpus(main, seeds, tmp):
                     record.append(fh.read().decode("utf-8"))
             else:
                 record.append("<no file>")
-        digest.update("\0".join(record).replace(tmp, "<tmp>").encode("utf-8") + b"\1")
+        records.append((record[0].replace(tmp, "<tmp>"),
+                        "\0".join(record).replace(tmp, "<tmp>").encode("utf-8")))
         return writes if writes is not None and os.path.exists(writes) else None
+
+    def write(path, text):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     def run_instance(inst, base, *plain):
         """Both emitting commands, then the ``plain`` argvs, then ``verify`` of each sequence."""
@@ -126,24 +343,59 @@ def run_corpus(main, seeds, tmp):
     for i, text in enumerate(case_instances()):
         base = os.path.join(tmp, f"case-{i}")
         inst = base + ".csr"
-        with open(inst, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        digest.update(text.encode("utf-8") + b"\1")
+        write(inst, text)
+        records.append((f"write <tmp>/case-{i}.csr", text.encode("utf-8")))
         run_instance(inst, base, ("distance", inst))
-    return count, digest.hexdigest()
+    for i, (argv, files) in enumerate(malformed_corpus()):
+        paths = {name: os.path.join(tmp, f"bad-{i}.{name}") for name in (*files, "OUT")}
+        for name, text in files.items():
+            write(paths[name], text)
+        run(*(paths.get(token, token) for token in argv), writes=paths["OUT"])
+    return count, records
+
+
+def compare(trees, seeds):
+    """Run the corpus for each tree in a subprocess; list the commands whose records differ."""
+    lines, records = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, tree in enumerate(trees):
+            path = os.path.join(tmp, f"records-{i}.json")
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), tree, "--seeds", str(seeds),
+                 "--records", path], stdout=subprocess.PIPE, text=True, check=True)
+            lines.append(proc.stdout.strip())
+            with open(path, encoding="utf-8") as fh:
+                records.append(dict(json.load(fh)))
+    print(*lines, sep="\n")
+    a, b = records
+    differing = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    for key in differing:
+        print(f"differs: {key}")
+    return 0 if lines[0] == lines[1] and not differing else 1
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("src", help="directory holding the csrecon package")
+    parser.add_argument("other", nargs="?", help="a second such directory to compare against")
     parser.add_argument("--seeds", type=int, default=120)
+    parser.add_argument("--records", help="also write each record's sha256, by command, "
+                                          "to this JSON file")
     args = parser.parse_args(argv)
+    if args.other is not None:
+        return compare((args.src, args.other), args.seeds)
     sys.path.insert(0, os.path.abspath(args.src))
     from csrecon.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        count, sha = run_corpus(cli_main, args.seeds, tmp)
-    print(f"{count} commands {sha}")
+        count, records = run_corpus(cli_main, args.seeds, tmp)
+    digest = hashlib.sha256()
+    for _, data in records:
+        digest.update(data + b"\1")
+    print(f"{count} commands {digest.hexdigest()}")
+    if args.records:
+        with open(args.records, "w", encoding="utf-8") as fh:
+            json.dump([(key, hashlib.sha256(data).hexdigest()) for key, data in records], fh)
     return 0
 
 
