@@ -38,8 +38,8 @@ def greedy_set(rep, c, rng, target=None):
     return tracker.members
 
 
-# the per-representation names predate greedy_set and are still imported
-greedy_interval_set = greedy_split_set = _greedy_graph_set = greedy_set
+# names that predate greedy_set, kept because bench/workloads.py imports them
+greedy_interval_set = _greedy_graph_set = greedy_set
 
 
 def random_split_model(rng, n, p=0.5):

@@ -127,11 +127,15 @@ def _int_pair(entry, what):
         raise FormatError(f"expected two integers ({what})", lineno) from None
 
 
+class _Fields(dict):
+    """Trailing fields as (raw value, line number) by key; ``end`` is the last nonblank line."""
+
+
 def parse_document(text):
     """Split csr/1 text into (header, representation, endpoints, trailing fields).
 
-    Trailing fields keep their raw string values so callers with extra keys
-    (reduction sources use I/I2/P/P2/s/t) can interpret them.
+    The header runs up to and including ``body:``.  Trailing fields keep raw
+    values for callers with extra keys (reduction sources use I/I2/P/P2/s/t).
     """
     entries = _entries(text)
     if not entries:
@@ -141,13 +145,13 @@ def parse_document(text):
     while pos < len(entries):
         key, val, lineno = _kv(entries[pos])
         pos += 1
+        if key in header:
+            raise FormatError(f"duplicate key '{key}'", lineno)
+        header[key] = (val, lineno)
         if key == "body":
             if val:
                 raise FormatError("'body:' takes no inline value", lineno)
             break
-        if key in header:
-            raise FormatError(f"duplicate key '{key}'", lineno)
-        header[key] = (val, lineno)
     else:
         raise FormatError("missing 'body:' section", entries[-1][0])
 
@@ -206,12 +210,16 @@ def parse_document(text):
             if key != "K":
                 raise FormatError("split body must start with 'K: ...'", lineno)
             kpart = _vertex_list(val, lineno)
+            for v in kpart:
+                if not 0 <= v < n:
+                    raise FormatError(f"clique part vertex {v} out of range", lineno)
             g = read_graph()
             representation = SplitModel(g, kpart, set(range(n)) - set(kpart))
     except InvariantError as exc:
         raise FormatError(str(exc)) from exc
 
-    fields = {}
+    fields = _Fields()
+    fields.end = entries[-1][0]
     while pos < len(entries):
         key, val, lineno = _kv(entries[pos])
         pos += 1
@@ -227,7 +235,7 @@ def parse_instance(text):
 
     def need_header(key):
         if key not in header:
-            raise FormatError(f"missing '{key}:'", 1)
+            raise FormatError(f"missing '{key}:'", header["body"][1])
         return header[key]
 
     rule, lineno = need_header("rule")
@@ -238,7 +246,7 @@ def parse_instance(text):
     kval, klineno = need_header("k")
     k = _int(kval, "k", klineno)
     if "S" not in fields or "S2" not in fields:
-        raise FormatError("missing 'S:' or 'S2:' after body", 1)
+        raise FormatError("missing 'S:' or 'S2:' after body", fields.end)
     start = set(_vertex_list(*fields["S"]))
     target = set(_vertex_list(*fields["S2"]))
     inst = Instance(representation, rule, c, k, start, target, endpoints=endpoints)

@@ -21,52 +21,56 @@ DEFAULT_REPORT_MAX_STATES = 1024
 
 @dataclass
 class StateSpace:
-    """All feasible sets under one rule, as sorted tuples, plus their one-step adjacency."""
+    """All feasible sets under one rule, plus their one-step adjacency.
+
+    States are int bitmasks (bit v for member v) in lexicographic order of
+    their sorted members; ``index`` maps a mask to its position.
+    """
 
     states: list
     index: dict
     adj: list
-    rule: str
 
 
-def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
-    """All colorable vertex sets, by recursive extension with pruning.
-
-    One feasibility tracker follows the walk, which adds vertices in
-    ascending order.  Colorable sets are closed under taking subsets, so
-    pruning a vertex whose addition breaks colorability never loses a set.
-    A branch is also cut as soon as it can no longer reach the size floor,
-    and never grows past the exact size, so a floor that filters out most
-    sets prunes most of the search too.  Results come back as sorted tuples
-    in lexicographic order.
-    """
+def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
+    """The colorable sets that ``enumerate_colorable_sets`` returns, as bitmasks in its order."""
     n = g_or_model.n
-    states = []
-    cur = []
+    masks = []
     tracker = make_tracker(g_or_model, (), c)
     floor = min_size if exact_size is None else max(min_size, exact_size)
 
-    def extend(v):
-        if len(cur) + n - v < floor:
-            return
-        if v == n:
-            states.append(tuple(cur))
-            if max_states is not None and len(states) > max_states:
+    def grow(mask, size, first):
+        if size >= floor:
+            masks.append(mask)
+            if max_states is not None and len(masks) > max_states:
                 raise ResourceLimitError(
                     f"oracle guard: state count exceeds max_states={max_states}; "
                     "raise max_states (--max-states) to override")
+        if size == exact_size:
             return
-        if (exact_size is None or len(cur) < exact_size) and tracker.can_add(v):
-            tracker.add(v)
-            cur.append(v)
-            extend(v + 1)
-            cur.pop()
-            tracker.remove(v)
-        extend(v + 1)
+        # adding v leaves n - v - 1 vertices to grow by, which must reach the floor
+        for v in range(first, min(n, n + size + 1 - floor)):
+            if tracker.can_add(v):
+                tracker.add(v)
+                grow(mask | 1 << v, size + 1, v + 1)
+                tracker.remove(v)
 
-    extend(0)
-    states.sort()
-    return states
+    grow(0, 0, 0)
+    return masks
+
+
+def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
+    """All colorable vertex sets, as sorted tuples in lexicographic order.
+
+    One feasibility tracker follows a walk that adds vertices in ascending
+    order and records each set before its extensions, which is already
+    lexicographic order.  Colorable sets are closed under taking subsets, so
+    pruning a vertex whose addition breaks colorability never loses a set.
+    A branch is also cut once it can no longer reach the size floor, and never
+    grows past the exact size, so a high floor prunes most of the search too.
+    """
+    return [tuple(v for v in range(g_or_model.n) if mask >> v & 1)
+            for mask in _colorable_masks(g_or_model, c, min_size, exact_size, max_states)]
 
 
 def build_state_space(g_or_model, c, k, rule, size=None,
@@ -74,42 +78,32 @@ def build_state_space(g_or_model, c, k, rule, size=None,
     n = g_or_model.n
     if n > max_n:
         raise ResourceLimitError(f"oracle guard: n={n} exceeds {max_n}; raise max_n to override")
-    if rule == "tar":
-        states = enumerate_colorable_sets(g_or_model, c, min_size=k, max_states=max_states)
-    elif rule in ("tj", "ts"):
-        states = enumerate_colorable_sets(g_or_model, c, exact_size=size, max_states=max_states)
-    else:
+    tar = rule == "tar"
+    if not tar and rule not in ("tj", "ts"):
         raise InvariantError(f"unknown rule '{rule}'")
-    index = {s: i for i, s in enumerate(states)}
-    at = {sum(1 << v for v in s): i for i, s in enumerate(states)}
+    states = _colorable_masks(g_or_model, c, k if tar else 0, None if tar else size, max_states)
+    index = {mask: i for i, mask in enumerate(states)}
     adj = [[] for _ in states]
     # one step removes a member u (none under tar, written u = -1) and adds a
     # nonmember v > u, so each edge is generated once, from one of its ends
-    for mask, i in at.items():
-        outs = [(-1, mask)] if rule == "tar" else [(u, mask ^ 1 << u) for u in states[i]]
+    for i, mask in enumerate(states):
+        outs = [(-1, mask)] if tar else [(u, mask ^ 1 << u) for u in range(n) if mask >> u & 1]
         for u, rest in outs:
             for v in range(u + 1, n):
                 if mask >> v & 1 or rule == "ts" and not adjacent_in(g_or_model, u, v):
                     continue
-                j = at.get(rest | 1 << v)
+                j = index.get(rest | 1 << v)
                 if j is not None:
                     adj[i].append(j)
                     adj[j].append(i)
-    for lst in adj:
-        lst.sort()
-    return StateSpace(states, index, adj, rule)
+    return StateSpace(states, index, [sorted(lst) for lst in adj])
 
 
 def _steps_between(prev, nxt, rule):
+    gone, new = (prev & ~nxt).bit_length() - 1, (nxt & ~prev).bit_length() - 1
     if rule == "tar":
-        if len(nxt) > len(prev):
-            (v,) = set(nxt) - set(prev)
-            return ("+", v)
-        (v,) = set(prev) - set(nxt)
-        return ("-", v)
-    (u,) = set(prev) - set(nxt)
-    (v,) = set(nxt) - set(prev)
-    return (">", u, v)
+        return ("+", new) if nxt > prev else ("-", gone)
+    return (">", gone, new)
 
 
 def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
@@ -120,12 +114,10 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     the two sets lie in different components.
     """
     check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
-    start_t = tuple(sorted(start))
-    target_t = tuple(sorted(target))
-    space = build_state_space(g_or_model, c, k, rule, size=len(start_t),
+    space = build_state_space(g_or_model, c, k, rule, size=len(start),
                               max_n=max_n, max_states=max_states)
-    src = space.index[start_t]
-    dst = space.index[target_t]
+    src = space.index[sum(1 << v for v in start)]
+    dst = space.index[sum(1 << v for v in target)]
     parent = bfs(src, space.adj.__getitem__, dst)
     if dst not in parent:
         return math.inf, None
@@ -134,7 +126,7 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
         return len(path) - 1, None
     steps = [_steps_between(space.states[path[i]], space.states[path[i + 1]], rule)
              for i in range(len(path) - 1)]
-    return len(path) - 1, ReconSequence(set(start_t), steps)
+    return len(path) - 1, ReconSequence(set(start), steps)
 
 
 @dataclass

@@ -26,8 +26,7 @@ from csrecon import (
     verify_sequence,
 )
 from csrecon.generators import (
-    greedy_interval_set,
-    greedy_split_set,
+    greedy_set,
     random_endpoints,
     random_graph,
     random_split_model,
@@ -60,8 +59,8 @@ def _interval_suite(count, seed=90210):
         model = model_from_intervals(endpoints)
         size_a = n if sparse else rng.randint(0, n)
         size_b = n if sparse else rng.randint(0, n)
-        start = greedy_interval_set(model, c, rng, target=size_a)
-        target = greedy_interval_set(model, c, rng, target=size_b)
+        start = greedy_set(model, c, rng, target=size_a)
+        target = greedy_set(model, c, rng, target=size_b)
         cap = min(len(start), len(target))
         k = cap if rng.random() < 0.5 else rng.randint(0, cap)
         yield model, c, start, target, k
@@ -73,8 +72,8 @@ def _split_suite(count, seed=777001):
         n = rng.randint(1, 12)
         c = rng.choice([1, 2, 3])
         model = random_split_model(rng, n, p=rng.choice([0.3, 0.5, 0.8]))
-        start = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-        target = greedy_split_set(model, c, rng, target=rng.randint(0, n))
+        start = greedy_set(model, c, rng, target=rng.randint(0, n))
+        target = greedy_set(model, c, rng, target=rng.randint(0, n))
         cap = min(len(start), len(target))
         k = cap if rng.random() < 0.5 else rng.randint(0, cap)
         yield model, c, start, target, k
@@ -153,8 +152,8 @@ def test_c4_tar_tj_relation():
         c = rng.choice([1, 2, 3])
         endpoints = random_endpoints(rng, n, coord_max=rng.randint(2, 9))
         model = model_from_intervals(endpoints)
-        start = greedy_interval_set(model, c, rng, target=rng.randint(1, n))
-        target = greedy_interval_set(model, c, rng, target=len(start))
+        start = greedy_set(model, c, rng, target=rng.randint(1, n))
+        target = greedy_set(model, c, rng, target=len(start))
         while len(target) > len(start):
             target.remove(max(target))
         if not start or len(start) != len(target):
@@ -361,8 +360,8 @@ def _timed_solve(n, seed):
     rng = random.Random(seed)
     endpoints = random_endpoints(rng, n, coord_max=2 * n, max_len=6)
     warm = model_from_intervals(endpoints)
-    start = greedy_interval_set(warm, 2, rng)
-    target = greedy_interval_set(warm, 2, rng)
+    start = greedy_set(warm, 2, rng)
+    target = greedy_set(warm, 2, rng)
     begin = time.perf_counter()
     model = model_from_intervals(endpoints)
     verdict = tar_distance(model, 2, start, target, 0)

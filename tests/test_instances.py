@@ -124,6 +124,21 @@ S2: 2
     inst = parse_instance(split_text)
     assert isinstance(inst.representation, SplitModel)
     assert inst.representation.clique_part == {0, 1}
+    with pytest.raises(FormatError, match=r"^line 8: clique part vertex 5 out of range$"):
+        parse_instance(split_text.replace("K: 0 1\n", "K: 0 5\n"))
+
+
+def test_missing_keys_name_their_line():
+    # a missing header key is reported at 'body:', a missing set at the last line
+    for key in ("rule", "c", "k"):
+        text = "".join(line for line in MINIMAL.splitlines(keepends=True)
+                       if not line.startswith(f"{key}:"))
+        with pytest.raises(FormatError, match=rf"^line 6: missing '{key}:'$"):
+            parse_instance(text)
+    for line in ("S: 0\n", "S2: 2\n"):
+        with pytest.raises(FormatError,
+                           match=r"^line 11: missing 'S:' or 'S2:' after body$"):
+            parse_instance(MINIMAL.replace(line, ""))
 
 
 def test_split_body_rejects_bad_partition():

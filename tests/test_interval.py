@@ -20,7 +20,7 @@ from csrecon import (
     tj_sequence,
     verify_sequence,
 )
-from csrecon.generators import greedy_interval_set, random_endpoints
+from csrecon.generators import greedy_set, random_endpoints
 from csrecon.oracle import oracle_distance
 
 
@@ -144,8 +144,8 @@ def _random_case(rng, n_max=12):
     c = rng.choice([1, 2, 3])
     endpoints = random_endpoints(rng, n, coord_max=rng.randint(2, 10))
     model = model_from_intervals(endpoints)
-    start = greedy_interval_set(model, c, rng, target=rng.randint(0, n))
-    target = greedy_interval_set(model, c, rng, target=rng.randint(0, n))
+    start = greedy_set(model, c, rng, target=rng.randint(0, n))
+    target = greedy_set(model, c, rng, target=rng.randint(0, n))
     cap = min(len(start), len(target))
     k = cap if rng.random() < 0.5 else rng.randint(0, cap)
     return model, c, start, target, k
@@ -252,8 +252,8 @@ def test_locked_union_cases_match_oracle():
                 base = rng.randint(1, 4)
             endpoints.append((base, base + rng.randint(0, 3)))
         model = model_from_intervals(endpoints)
-        start = greedy_interval_set(model, 1, rng, target=rng.randint(1, 3))
-        target = greedy_interval_set(model, 1, rng, target=len(start))
+        start = greedy_set(model, 1, rng, target=rng.randint(1, 3))
+        target = greedy_set(model, 1, rng, target=len(start))
         while len(target) > len(start):
             target.remove(max(target))
         if len(start) != len(target):
@@ -278,8 +278,8 @@ def test_tar_tj_relation_randomized():
         c = rng.choice([1, 2, 3])
         endpoints = random_endpoints(rng, n, coord_max=rng.randint(2, 8))
         model = model_from_intervals(endpoints)
-        start = greedy_interval_set(model, c, rng, target=rng.randint(1, n))
-        target = greedy_interval_set(model, c, rng, target=len(start))
+        start = greedy_set(model, c, rng, target=rng.randint(1, n))
+        target = greedy_set(model, c, rng, target=len(start))
         while len(target) > len(start):
             target.remove(max(target))
         if len(target) < len(start):

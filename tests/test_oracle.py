@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +23,9 @@ from csrecon.generators import random_endpoints, random_graph, random_split_mode
 from csrecon import core, oracle
 from csrecon.oracle import build_state_space
 
-from conftest import complete_graph, path_graph
+from conftest import (
+    brute_force_colorable, complete_graph, graph_from_model, graph_from_split, path_graph,
+)
 
 
 def test_distance_examples(e1_model, e2_model):
@@ -84,6 +87,56 @@ def test_pruned_enumeration_equals_filtered_full_enumeration():
                 [s for s in full if len(s) >= size]
             assert enumerate_colorable_sets(g, c, exact_size=size) == \
                 [s for s in full if len(s) == size]
+
+
+def test_enumeration_equals_filtered_combinations():
+    # an independent reference: every subset in lexicographic order, kept when
+    # brute force colors it; this also pins the order the walk promises
+    rng = random.Random(97)
+    for _ in range(20):
+        n = rng.randint(0, 8)
+        g = random_graph(rng, n, p=rng.random())
+        split = random_split_model(rng, n)
+        model = model_from_intervals(random_endpoints(rng, n))
+        for rep, plain in ((g, g), (split, graph_from_split(split)),
+                           (model, graph_from_model(model))):
+            subsets = sorted(s for size in range(n + 1) for s in combinations(range(n), size))
+            for c in (1, 2, 3):
+                want = [s for s in subsets if brute_force_colorable(plain, s, c)]
+                for size in range(n + 2):
+                    assert enumerate_colorable_sets(rep, c, min_size=size) == \
+                        [s for s in want if len(s) >= size], (rep, c, size)
+                    assert enumerate_colorable_sets(rep, c, exact_size=size) == \
+                        [s for s in want if len(s) == size], (rep, c, size)
+
+
+def test_oracle_sequences_replay():
+    rng = random.Random(271)
+    reached = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        reps = (random_graph(rng, n, p=rng.random()), random_split_model(rng, n),
+                model_from_intervals(random_endpoints(rng, n)))
+        for rep in reps:
+            for rule in ("tar", "tj", "ts"):
+                c = rng.choice([1, 2])
+                size = None if rule == "tar" else rng.randint(0, n)
+                sets = enumerate_colorable_sets(rep, c, exact_size=size)
+                if not sets:
+                    continue
+                start, target = set(rng.choice(sets)), set(rng.choice(sets))
+                k = rng.randint(0, min(len(start), len(target))) if rule == "tar" else 0
+                dist, seq = oracle_distance(rep, c, start, target, k=k, rule=rule,
+                                            want_sequence=True)
+                if dist == math.inf:
+                    assert seq is None
+                    continue
+                assert len(seq.steps) == dist
+                assert verify_sequence(Instance(rep, rule, c, k, start, target), seq).ok, \
+                    (rep, rule, c, k, start, target)
+                reached += dist > 0
+    # enough nonempty sequences that every step kind gets decoded many times
+    assert reached >= 200
 
 
 def test_size_floor_bounds_enumeration_work(monkeypatch):
@@ -163,7 +216,7 @@ def test_adjacency_equals_brute_force_steps():
             for rule in ("tar", "tj", "ts"):
                 k = rng.randint(0, n)
                 space = build_state_space(rep, c, k, rule, size=k)
-                sets = [set(s) for s in space.states]
+                sets = [{v for v in range(n) if mask >> v & 1} for mask in space.states]
                 want = []
                 for a in sets:
                     row = []

@@ -20,7 +20,7 @@ from csrecon import (
     t_set,
     verify_sequence,
 )
-from csrecon.generators import greedy_split_set, random_split_model
+from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
 
 
@@ -86,7 +86,7 @@ def test_t_sets_colorable_and_contain_sources(pqr_model):
         meta = build_meta_graph(model, c, 0)
         for ts in meta.tsets:
             assert is_colorable_clique_bound(model, ts.members, c)
-        s = greedy_split_set(model, c, rng, target=rng.randint(0, model.n))
+        s = greedy_set(model, c, rng, target=rng.randint(0, model.n))
         assert s <= t_set(model, s & model.clique_part, c).members
 
 
@@ -111,8 +111,8 @@ def test_reachability_matches_oracle_randomized():
         n = rng.randint(1, 12)
         c = rng.choice([1, 2, 3])
         model = random_split_model(rng, n, p=rng.choice([0.3, 0.5, 0.8]))
-        start = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-        target = greedy_split_set(model, c, rng, target=rng.randint(0, n))
+        start = greedy_set(model, c, rng, target=rng.randint(0, n))
+        target = greedy_set(model, c, rng, target=rng.randint(0, n))
         cap = min(len(start), len(target))
         k = cap if rng.random() < 0.5 else rng.randint(0, cap)
         got = split_tar_reachable(model, c, start, target, k)
@@ -129,8 +129,8 @@ def test_witness_sequences_verify():
         n = rng.randint(1, 11)
         c = rng.choice([1, 2, 3])
         model = random_split_model(rng, n, p=rng.random())
-        start = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-        target = greedy_split_set(model, c, rng, target=rng.randint(0, n))
+        start = greedy_set(model, c, rng, target=rng.randint(0, n))
+        target = greedy_set(model, c, rng, target=rng.randint(0, n))
         cap = min(len(start), len(target))
         k = cap if rng.random() < 0.5 else rng.randint(0, cap)
         seq = split_tar_witness(model, c, start, target, k)

@@ -11,7 +11,7 @@ from csrecon import (
     isr_to_split_csr,
     split_tar_reachable,
 )
-from csrecon.generators import greedy_split_set, random_split_model
+from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
 from csrecon.split_recon import _meta_path
 
@@ -48,8 +48,8 @@ def test_lazy_search_follows_materialised_order():
         n = rng.randint(1, 9)
         c = rng.choice([1, 2, 3])
         model = random_split_model(rng, n, p=rng.choice([0.3, 0.5, 0.8]))
-        start = greedy_split_set(model, c, rng, target=rng.randint(0, n))
-        target = greedy_split_set(model, c, rng, target=rng.randint(0, n))
+        start = greedy_set(model, c, rng, target=rng.randint(0, n))
+        target = greedy_set(model, c, rng, target=rng.randint(0, n))
         for k in range(min(len(start), len(target)) + 1):
             want = _materialised_path(model, c, k, start, target)
             assert _meta_path(model, c, k, start, target) == want, (
