@@ -154,7 +154,7 @@ def _cmd_oracle(args):
 
 def _field(fields, key, parser, what):
     if key not in fields:
-        raise FormatError(f"missing '{key}:' (required for {what})")
+        raise FormatError(f"missing '{key}:' (required for {what})", fields.end)
     val, lineno = fields[key]
     return parser(val, lineno)
 
@@ -176,7 +176,7 @@ def _cmd_reduce(args):
     meta_lines = [f"kind: {args.kind}"]
     if args.kind == "oct":
         if "c" not in header or "k" not in header:
-            raise FormatError("oct sources need 'c:' and 'k:' headers")
+            raise FormatError("oct sources need 'c:' and 'k:' headers", header["body"][1])
         c = as_int(*header["c"])
         k = as_int(*header["k"])
         out = oct_to_colorable_set(g, c, k)
@@ -201,7 +201,7 @@ def _cmd_reduce(args):
         path_start = _field(fields, "P", _vertex_list, "spr")
         path_target = _field(fields, "P2", _vertex_list, "spr")
         if "c" not in header:
-            raise FormatError("spr sources need a 'c:' header")
+            raise FormatError("spr sources need a 'c:' header", header["body"][1])
         c = as_int(*header["c"])
         out = spr_to_cocomp_csr(g, s, t, path_start, path_target, c)
         rule = args.rule or "tj"

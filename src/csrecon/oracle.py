@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     InvariantError, ResourceLimitError, adjacent_in, bfs, bfs_path, check_sets, make_tracker,
@@ -21,15 +22,38 @@ DEFAULT_REPORT_MAX_STATES = 1024
 
 @dataclass
 class StateSpace:
-    """All feasible sets under one rule, plus their one-step adjacency.
+    """All feasible sets under one rule, and that rule's one-step moves.
 
     States are int bitmasks (bit v for member v) in lexicographic order of
-    their sorted members; ``index`` maps a mask to its position.
+    their sorted members; ``index`` maps a mask to its position.  A distance
+    search asks ``neighbours`` only for the states it expands and stops at
+    the target; ``adj``, the whole adjacency, is built from the same rule on
+    first use.
     """
 
     states: list
     index: dict
-    adj: list
+    rep: object
+    rule: str
+
+    def neighbours(self, i):
+        """The indices, ascending, of the states one step from state ``i``.
+
+        tar flips one bit; tj swaps a member for a nonmember; ts makes the
+        same swap only along an edge.
+        """
+        mask, n = self.states[i], self.rep.n
+        if self.rule == "tar":
+            moves = (mask ^ 1 << v for v in range(n))
+        else:
+            moves = (mask ^ (1 << u | 1 << v) for u in range(n) if mask >> u & 1
+                     for v in range(n) if not mask >> v & 1
+                     and (self.rule == "tj" or adjacent_in(self.rep, u, v)))
+        return sorted(j for j in map(self.index.get, moves) if j is not None)
+
+    @cached_property
+    def adj(self):
+        return [self.neighbours(i) for i in range(len(self.states))]
 
 
 def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
@@ -39,7 +63,7 @@ def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
     tracker = make_tracker(g_or_model, (), c)
     floor = min_size if exact_size is None else max(min_size, exact_size)
 
-    def grow(mask, size, first):
+    def grow(mask, size, candidates):
         if size >= floor:
             masks.append(mask)
             if max_states is not None and len(masks) > max_states:
@@ -48,14 +72,15 @@ def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
                     "raise max_states (--max-states) to override")
         if size == exact_size:
             return
-        # adding v leaves n - v - 1 vertices to grow by, which must reach the floor
-        for v in range(first, min(n, n + size + 1 - floor)):
-            if tracker.can_add(v):
-                tracker.add(v)
-                grow(mask | 1 << v, size + 1, v + 1)
-                tracker.remove(v)
+        fits = [v for v in candidates if tracker.can_add(v)]
+        # adding fits[i] leaves len(fits) - i - 1 candidates, which must reach the floor
+        for i in range(len(fits) - max(0, floor - size - 1)):
+            v = fits[i]
+            tracker.add(v)
+            grow(mask | 1 << v, size + 1, fits[i + 1:])
+            tracker.remove(v)
 
-    grow(0, 0, 0)
+    grow(0, 0, range(n))
     return masks
 
 
@@ -65,9 +90,12 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
     One feasibility tracker follows a walk that adds vertices in ascending
     order and records each set before its extensions, which is already
     lexicographic order.  Colorable sets are closed under taking subsets, so
-    pruning a vertex whose addition breaks colorability never loses a set.
-    A branch is also cut once it can no longer reach the size floor, and never
-    grows past the exact size, so a high floor prunes most of the search too.
+    a vertex that does not fit a set fits none of its supersets: each node
+    tests its candidates once and hands its children only the later ones
+    that fitted.  A branch is also cut once its candidates can no longer
+    reach the size floor, and never grows past the exact size, so a high
+    floor prunes most of the search too (the edgeless 20-vertex graph at tar
+    k=20 takes 210 ``can_add`` tests).
     """
     return [tuple(v for v in range(g_or_model.n) if mask >> v & 1)
             for mask in _colorable_masks(g_or_model, c, min_size, exact_size, max_states)]
@@ -75,6 +103,11 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
 
 def build_state_space(g_or_model, c, k, rule, size=None,
                       max_n=DEFAULT_MAX_N, max_states=None):
+    """The feasible sets under ``rule``; their moves are generated on demand.
+
+    Under tar the sets have at least k members, under tj and ts exactly
+    ``size``.  Only the connectivity report reads ``adj``.
+    """
     n = g_or_model.n
     if n > max_n:
         raise ResourceLimitError(f"oracle guard: n={n} exceeds {max_n}; raise max_n to override")
@@ -82,21 +115,7 @@ def build_state_space(g_or_model, c, k, rule, size=None,
     if not tar and rule not in ("tj", "ts"):
         raise InvariantError(f"unknown rule '{rule}'")
     states = _colorable_masks(g_or_model, c, k if tar else 0, None if tar else size, max_states)
-    index = {mask: i for i, mask in enumerate(states)}
-    adj = [[] for _ in states]
-    # one step removes a member u (none under tar, written u = -1) and adds a
-    # nonmember v > u, so each edge is generated once, from one of its ends
-    for i, mask in enumerate(states):
-        outs = [(-1, mask)] if tar else [(u, mask ^ 1 << u) for u in range(n) if mask >> u & 1]
-        for u, rest in outs:
-            for v in range(u + 1, n):
-                if mask >> v & 1 or rule == "ts" and not adjacent_in(g_or_model, u, v):
-                    continue
-                j = index.get(rest | 1 << v)
-                if j is not None:
-                    adj[i].append(j)
-                    adj[j].append(i)
-    return StateSpace(states, index, [sorted(lst) for lst in adj])
+    return StateSpace(states, {mask: i for i, mask in enumerate(states)}, g_or_model, rule)
 
 
 def _steps_between(prev, nxt, rule):
@@ -118,7 +137,7 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                               max_n=max_n, max_states=max_states)
     src = space.index[sum(1 << v for v in start)]
     dst = space.index[sum(1 << v for v in target)]
-    parent = bfs(src, space.adj.__getitem__, dst)
+    parent = bfs(src, space.neighbours, dst)
     if dst not in parent:
         return math.inf, None
     path = bfs_path(parent, dst)

@@ -345,6 +345,25 @@ P2: 0 3 2
     assert "order:" in meta
 
 
+def test_reduce_sources_name_the_line_of_a_missing_key(tmp_path, capsys):
+    # a missing header key is reported at 'body:' (line 4), a missing
+    # trailing field at the last line of the source
+    graph = "format: csr/1\nrepr: edges\nn: 4\nbody:\n3\n0 1\n1 2\n0 3\n"
+    spr_fields = "s: 0\nt: 2\nP: 0 1 2\n"
+    for kind, text, message in (
+            ("oct", graph, "line 4: oct sources need 'c:' and 'k:' headers"),
+            ("oct", "c: 2\n" + graph, "line 5: oct sources need 'c:' and 'k:' headers"),
+            ("isr", graph + "I2: 0\n", "line 9: missing 'I:' (required for isr)"),
+            ("isr", graph + "I: 0\n", "line 9: missing 'I2:' (required for isr)"),
+            ("spr", graph + spr_fields, "line 11: missing 'P2:' (required for spr)"),
+            ("spr", graph + spr_fields + "P2: 0 1 2\n",
+             "line 4: spr sources need a 'c:' header")):
+        source = _write(tmp_path, "src.csr", text)
+        code = main(["reduce", source, "--kind", kind, "--out", str(tmp_path / "out.csr")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n", (kind, text)
+
+
 E3 = """\
 format: csr/1
 rule: tar

@@ -163,6 +163,49 @@ def test_size_floor_bounds_enumeration_work(monkeypatch):
     assert calls <= 16 * 16
 
 
+def test_rejected_vertex_is_not_tested_again_below(monkeypatch):
+    # star K_{1,11} at c=1: the centre fits only the empty set, so once a leaf
+    # is in, no set further down the walk may test the centre again
+    calls = 0
+    make_tracker = oracle.make_tracker
+
+    def counting(*args, **kwargs):
+        tracker = make_tracker(*args, **kwargs)
+        can_add = tracker.can_add
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return can_add(v)
+
+        tracker.can_add = counted
+        return tracker
+
+    monkeypatch.setattr(oracle, "make_tracker", counting)
+    n = 12
+    star = Graph(n, [(v, n - 1) for v in range(n - 1)])
+    states = oracle._colorable_masks(star, 1, 0, None, None)
+    assert len(states) == 2 ** (n - 1) + 1
+    assert calls <= len(states) + n
+
+
+def test_distance_search_stops_at_the_target(monkeypatch):
+    # the target is one step from the source: only the source is expanded,
+    # and the 2^16 states' adjacency is never built
+    expanded = []
+    neighbours = oracle.StateSpace.neighbours
+
+    def counted(space, i):
+        expanded.append(i)
+        return neighbours(space, i)
+
+    monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
+    dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar",
+                                want_sequence=True)
+    assert dist == 1 and seq.steps == [("+", 1)]
+    assert len(expanded) <= 1
+
+
 def test_distance_input_errors():
     g = Graph(3, [(0, 1)])
     with pytest.raises(InvariantError, match="S: vertex 5 out of range"):

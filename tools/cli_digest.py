@@ -28,7 +28,14 @@ maximal set, and k the smaller set's size.  Draws continue until every
 falls short.  Each goes through ``solve --emit-sequence --out``,
 ``distance``, ``oracle --emit-sequence --out`` and ``verify``.
 
-A third, fixed corpus of malformed inputs holds one instance, sequence or
+A third, fixed corpus stresses the oracle's search order on larger state
+spaces than ``gen``'s n <= 10: ORACLE_DRAWS seeded edge-list instances with
+n = ORACLE_N per rule and c in {1, 2}, drawn like the edge-list cases of the
+benchmark's ``oracle_small`` workload (random graphs with edge probability
+0.4, greedy sets, k up to the smaller set's size).  Each goes through
+``oracle --emit-sequence --out`` and ``verify``.
+
+A fourth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, ``--max-states``,
 ``--max-c``, the exact-coloring guard, ``--emit-sequence`` without
@@ -38,7 +45,8 @@ All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
 directory masked) and the bytes of every file it writes; an exception that
 escapes ``main`` is recorded as a ``crash`` with its type and message.  The
-digest covers every record and the text of every case-corpus instance.
+digest covers every record and the text of every case-corpus and oracle-corpus
+instance.
 """
 from __future__ import annotations
 
@@ -58,6 +66,8 @@ RULES = ("tar", "tj", "ts")
 CASES = ("identical", "case1", "case2", "case3a", "case3b", "locked-in-G")
 CASE_QUOTA = 5
 MAX_CASE_DRAWS = 100_000
+ORACLE_N = 12
+ORACLE_DRAWS = 4
 
 
 def case_instances():
@@ -86,6 +96,16 @@ def case_instances():
     if short_cases:
         raise RuntimeError(f"case corpus lacks {short_cases} after {MAX_CASE_DRAWS} draws")
     return [text for case in CASES for text in found[case]]
+
+
+def oracle_instances():
+    """Seeded n = ORACLE_N edge-list instances, ORACLE_DRAWS per rule and c, as csr/1 texts."""
+    from csrecon import render_instance
+    from csrecon.generators import random_edges_instance
+
+    return [render_instance(random_edges_instance(
+                random.Random(f"oracle:{rule}:{c}:{i}"), ORACLE_N, c, rule=rule))
+            for rule in RULES for c in (1, 2) for i in range(ORACLE_DRAWS)]
 
 
 EDGES = """\
@@ -284,7 +304,7 @@ def malformed_corpus():
 
 
 def run_corpus(main, seeds, tmp):
-    """Run the seeded commands for seeds 0..seeds-1, then the two fixed corpora, in ``tmp``.
+    """Run the seeded commands for seeds 0..seeds-1, then the three fixed corpora, in ``tmp``.
 
     Returns the command count and the records as (key, bytes) pairs, the
     key being the command's argv with ``tmp`` masked.
@@ -340,12 +360,20 @@ def run_corpus(main, seeds, tmp):
                            writes=base + ".csr")
                 run_instance(inst, base, ("solve", inst), ("distance", inst),
                              ("oracle", inst, "--report"))
+    def write_instance(name, text):
+        write(os.path.join(tmp, f"{name}.csr"), text)
+        records.append((f"write <tmp>/{name}.csr", text.encode("utf-8")))
+        return os.path.join(tmp, name)
+
     for i, text in enumerate(case_instances()):
-        base = os.path.join(tmp, f"case-{i}")
-        inst = base + ".csr"
-        write(inst, text)
-        records.append((f"write <tmp>/case-{i}.csr", text.encode("utf-8")))
-        run_instance(inst, base, ("distance", inst))
+        base = write_instance(f"case-{i}", text)
+        run_instance(base + ".csr", base, ("distance", base + ".csr"))
+    for i, text in enumerate(oracle_instances()):
+        base = write_instance(f"oracle-{i}", text)
+        seq = run("oracle", base + ".csr", "--emit-sequence", "--out", base + ".seq",
+                  writes=base + ".seq")
+        if seq is not None:
+            run("verify", base + ".csr", seq)
     for i, (argv, files) in enumerate(malformed_corpus()):
         paths = {name: os.path.join(tmp, f"bad-{i}.{name}") for name in (*files, "OUT")}
         for name, text in files.items():
