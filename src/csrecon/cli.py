@@ -26,6 +26,7 @@ from .instances import (
     render_instance,
     render_sequence,
     verify_sequence,
+    _int,
     _vertex_list,
 )
 from .interval_recon import shortest_tar_sequence, tar_distance, tj_distance, tj_sequence
@@ -152,33 +153,27 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
-def _field(fields, key, parser, what):
+def _field(fields, key, what):
     if key not in fields:
         raise FormatError(f"missing '{key}:' (required for {what})", fields.end)
-    val, lineno = fields[key]
-    return parser(val, lineno)
+    return fields[key]
 
 
 def _cmd_reduce(args):
-    header, representation, _, fields = parse_document(_read(args.source))
-    if isinstance(representation, SplitModel):
-        representation = representation.graph
-    if isinstance(representation, IntervalModel):
+    if args.kind == "oct" and args.rule:
+        raise InvariantError("--rule applies only to --kind isr and spr")
+    header, g, _, fields = parse_document(_read(args.source))
+    if isinstance(g, SplitModel):
+        g = g.graph
+    if isinstance(g, IntervalModel):
         raise InvariantError("reduction sources must use the edges representation")
-    g = representation
-
-    def as_int(val, lineno):
-        try:
-            return int(val)
-        except ValueError:
-            raise FormatError("expected an integer", lineno) from None
 
     meta_lines = [f"kind: {args.kind}"]
     if args.kind == "oct":
         if "c" not in header or "k" not in header:
             raise FormatError("oct sources need 'c:' and 'k:' headers", header["body"][1])
-        c = as_int(*header["c"])
-        k = as_int(*header["k"])
+        c = _int(*header["c"], "c")
+        k = _int(*header["k"], "k")
         out = oct_to_colorable_set(g, c, k)
         inst = Instance(out.graph, "tar", out.c, 0, set(), set())
         extra = [f"target: {out.target_size}"]
@@ -186,8 +181,8 @@ def _cmd_reduce(args):
             for v in group:
                 meta_lines.append(f"pad: {v} layer {layer}")
     elif args.kind == "isr":
-        start = set(_field(fields, "I", _vertex_list, "isr"))
-        target = set(_field(fields, "I2", _vertex_list, "isr"))
+        start = set(_vertex_list(*_field(fields, "I", "isr")))
+        target = set(_vertex_list(*_field(fields, "I2", "isr")))
         out = isr_to_split_csr(g, start, target)
         rule = args.rule or "tj"
         # image sets have size k; the addition-removal variant runs at floor k-1
@@ -196,13 +191,13 @@ def _cmd_reduce(args):
         for v, (eu, ev) in sorted(out.edge_of_vertex.items()):
             meta_lines.append(f"pad: {v} edge {eu} {ev}")
     else:  # spr
-        s = _field(fields, "s", as_int, "spr")
-        t = _field(fields, "t", as_int, "spr")
-        path_start = _field(fields, "P", _vertex_list, "spr")
-        path_target = _field(fields, "P2", _vertex_list, "spr")
+        s = _int(*_field(fields, "s", "spr"), "s")
+        t = _int(*_field(fields, "t", "spr"), "t")
+        path_start = _vertex_list(*_field(fields, "P", "spr"))
+        path_target = _vertex_list(*_field(fields, "P2", "spr"))
         if "c" not in header:
             raise FormatError("spr sources need a 'c:' header", header["body"][1])
-        c = as_int(*header["c"])
+        c = _int(*header["c"], "c")
         out = spr_to_cocomp_csr(g, s, t, path_start, path_target, c)
         rule = args.rule or "tj"
         k = out.k - 1

@@ -5,6 +5,7 @@ from collections import deque
 from itertools import accumulate
 
 DEFAULT_EXACT_LIMIT = 64  # largest set the exact coloring backtracks over by default
+_NO_NEIGHBOURS = frozenset()  # shared by every isolated vertex of every Graph
 
 
 class InvariantError(ValueError):
@@ -28,41 +29,35 @@ class ResourceLimitError(RuntimeError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Adjacency is stored as per-vertex sorted lists; neighbor sets (for O(1)
-    edge tests) and neighbor bitmasks are built lazily.
+    ``adjacency[v]`` is the set of v's neighbours, built while the edges are
+    validated; isolated vertices share one empty frozenset, so each costs one
+    list slot.  Neighbour bitmasks are built per vertex on first lookup.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_neighbor_sets", "_neighbor_masks")
+    __slots__ = ("n", "m", "adjacency", "_neighbor_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise InvariantError("vertex count must be nonnegative")
-        adjacency = [[] for _ in range(n)]
-        seen = set()
+        adjacency = [_NO_NEIGHBOURS] * n
+        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvariantError(f"vertex index out of range in edge ({u}, {v})")
             if u == v:
                 raise InvariantError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InvariantError(f"parallel edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for lst in adjacency:
-            lst.sort()
+            # the shared empty set is falsy: an end gets its own set on its first edge
+            adjacency[u] = nbrs = adjacency[u] or set()
+            if v in nbrs:
+                raise InvariantError(f"parallel edge ({min(u, v)}, {max(u, v)})")
+            nbrs.add(v)
+            adjacency[v] = nbrs = adjacency[v] or set()
+            nbrs.add(u)
+            m += 1
         self.n = n
-        self.m = len(seen)
+        self.m = m
         self.adjacency = adjacency
-        self._neighbor_sets = None
         self._neighbor_masks = None
-
-    @property
-    def neighbor_sets(self):
-        if self._neighbor_sets is None:
-            self._neighbor_sets = [set(lst) for lst in self.adjacency]
-        return self._neighbor_sets
 
     @property
     def neighbor_masks(self):
@@ -75,11 +70,12 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u, v):
-        return v in self.neighbor_sets[u]
+        return v in self.adjacency[u]
 
     def edges(self):
-        for u in range(self.n):
-            for v in self.adjacency[u]:
+        """Each edge once as (u, v) with u < v, in ascending order."""
+        for u, nbrs in enumerate(self.adjacency):
+            for v in sorted(nbrs):
                 if u < v:
                     yield (u, v)
 
@@ -144,25 +140,24 @@ class IntervalModel:
 
 
 class SplitModel:
-    """Split graph with an explicit partition into a clique and an independent set."""
+    """Split graph: ``clique_part`` is a clique, and the other vertices, the
+    derived ``independent_part``, form an independent set; both are checked.
+    """
 
     __slots__ = ("graph", "clique_part", "independent_part")
 
-    def __init__(self, graph, clique_part, independent_part):
+    def __init__(self, graph, clique_part):
         kpart = set(clique_part)
-        ipart = set(independent_part)
         n = graph.n
-        if kpart & ipart or len(kpart) + len(ipart) != n:
-            raise InvariantError("clique/independent parts must partition the vertices")
-        if any(not 0 <= v < n for v in kpart | ipart):
+        if any(not 0 <= v < n for v in kpart):
             raise InvariantError("partition contains a vertex index out of range")
-        nbrs = graph.neighbor_sets
-        for u in kpart:
-            if not kpart <= nbrs[u] | {u}:
-                raise InvariantError("clique part is not a clique")
-        for u in ipart:
-            if nbrs[u] & ipart:
-                raise InvariantError("independent part is not independent")
+        ipart = set(range(n)) - kpart
+        nbrs = graph.adjacency
+        # no vertex is its own neighbour, so u's non-neighbours in a clique are just u
+        if any(len(kpart - nbrs[u]) != 1 for u in kpart):
+            raise InvariantError("clique part is not a clique")
+        if any(not nbrs[u].isdisjoint(ipart) for u in ipart):
+            raise InvariantError("independent part is not independent")
         self.graph = graph
         self.clique_part = kpart
         self.independent_part = ipart
@@ -382,7 +377,7 @@ class _SplitTracker:
 
     def __init__(self, model, members, c):
         self.clique_part = model.clique_part
-        self.nbrs = model.graph.neighbor_sets
+        self.nbrs = model.graph.adjacency
         self.c = c
         self.members = set(members)
         self.chosen = self.members & model.clique_part
@@ -506,7 +501,7 @@ def split_partition(g):
             break
     if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
         return None
-    return SplitModel(g, order[:h], order[h:])
+    return SplitModel(g, order[:h])
 
 
 def bfs(source, neighbours, goal=None):

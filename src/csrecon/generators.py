@@ -45,14 +45,12 @@ greedy_interval_set = _greedy_graph_set = greedy_set
 def random_split_model(rng, n, p=0.5):
     size_k = rng.randint(0, n)
     kpart = set(rng.sample(range(n), size_k))
-    ipart = set(range(n)) - kpart
     ksorted = sorted(kpart)
     edges = list(combinations(ksorted, 2))
-    for u in sorted(ipart):
-        for v in ksorted:
-            if rng.random() < p:
-                edges.append((u, v))
-    return SplitModel(Graph(n, edges), kpart, ipart)
+    for u in range(n):
+        if u not in kpart:
+            edges.extend((u, v) for v in ksorted if rng.random() < p)
+    return SplitModel(Graph(n, edges), kpart)
 
 
 def random_graph(rng, n, p=0.4):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     FormatError,
@@ -76,19 +77,10 @@ def check_instance(inst):
                same_size=inst.rule in ("tj", "ts"))
 
 
-def _clean(line):
-    if "#" in line:
-        line = line.split("#", 1)[0]
-    return line.strip()
-
-
 def _entries(text):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _clean(raw)
-        if line:
-            out.append((lineno, line))
-    return out
+    """(line number, content) of every line that holds more than a comment."""
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := (raw.partition("#")[0] if "#" in raw else raw).strip())]
 
 
 def _kv(entry):
@@ -99,7 +91,20 @@ def _kv(entry):
     return key.strip(), val.strip(), lineno
 
 
-def _int(val, what, lineno):
+def _read_fields(lines, fields, stop=None):
+    """Read ``key: value`` lines into ``fields`` as (raw value, line number)
+    until key ``stop`` has been read; return whether it was."""
+    for entry in lines:
+        key, val, lineno = _kv(entry)
+        if key in fields:
+            raise FormatError(f"duplicate key '{key}'", lineno)
+        fields[key] = (val, lineno)
+        if key == stop:
+            return True
+    return False
+
+
+def _int(val, lineno, what):
     try:
         return int(val)
     except ValueError:
@@ -116,15 +121,32 @@ def _vertex_list(val, lineno):
     return out
 
 
-def _int_pair(entry, what):
-    lineno, line = entry
-    parts = line.split()
-    if len(parts) != 2:
-        raise FormatError(f"expected two integers ({what})", lineno)
-    try:
-        return int(parts[0]), int(parts[1]), lineno
-    except ValueError:
-        raise FormatError(f"expected two integers ({what})", lineno) from None
+def _body_lines(lines, count, what, last):
+    """The next ``count`` body entries of ``lines``; ``last`` is the text's last line."""
+    chunk = list(islice(lines, count))
+    if len(chunk) < count:
+        raise FormatError(f"body ended early while reading {what}", last)
+    return chunk
+
+
+def _pairs(chunk, vertex_count=None):
+    """The integer pairs on ``chunk``'s lines, checked line by line: edges with
+    both ends in 0..vertex_count-1, or without a count interval endpoints l <= r."""
+    what = "interval endpoints" if vertex_count is None else "edge"
+    pairs = []
+    for lineno, line in chunk:
+        try:
+            a, b = line.split()
+            a, b = int(a), int(b)
+        except ValueError:
+            raise FormatError(f"expected two integers ({what})", lineno) from None
+        if vertex_count is None:
+            if a > b:
+                raise FormatError(f"malformed endpoint pair ({a}, {b})", lineno)
+        elif not (0 <= a < vertex_count and 0 <= b < vertex_count):
+            raise FormatError(f"edge vertex out of range: {a} {b}", lineno)
+        pairs.append((a, b))
+    return pairs
 
 
 class _Fields(dict):
@@ -134,30 +156,24 @@ class _Fields(dict):
 def parse_document(text):
     """Split csr/1 text into (header, representation, endpoints, trailing fields).
 
-    The header runs up to and including ``body:``.  Trailing fields keep raw
-    values for callers with extra keys (reduction sources use I/I2/P/P2/s/t).
+    One pass reads the header up to and including ``body:``, the body (taken
+    whole before it is parsed, so a short one is reported as ending early), and
+    the trailing fields, kept raw for keys like reduction sources' I/I2/P/P2/s/t.
     """
     entries = _entries(text)
     if not entries:
         raise FormatError("empty instance text", 1)
+    first, last = entries[0][0], entries[-1][0]
+    lines = iter(entries)
     header = {}
-    pos = 0
-    while pos < len(entries):
-        key, val, lineno = _kv(entries[pos])
-        pos += 1
-        if key in header:
-            raise FormatError(f"duplicate key '{key}'", lineno)
-        header[key] = (val, lineno)
-        if key == "body":
-            if val:
-                raise FormatError("'body:' takes no inline value", lineno)
-            break
-    else:
-        raise FormatError("missing 'body:' section", entries[-1][0])
+    if not _read_fields(lines, header, stop="body"):
+        raise FormatError("missing 'body:' section", last)
+    if header["body"][0]:
+        raise FormatError("'body:' takes no inline value", header["body"][1])
 
     def need(key):
         if key not in header:
-            raise FormatError(f"missing '{key}:' before body", entries[0][0])
+            raise FormatError(f"missing '{key}:' before body", first)
         return header[key]
 
     fmt, lineno = need("format")
@@ -167,45 +183,26 @@ def parse_document(text):
     if kind not in REPRS:
         raise FormatError(f"unknown repr '{kind}'", lineno)
     nval, lineno = need("n")
-    n = _int(nval, "n", lineno)
+    n = _int(nval, lineno, "n")
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
 
-    def take(count, what):
-        nonlocal pos
-        if pos + count > len(entries):
-            raise FormatError(f"body ended early while reading {what}", entries[-1][0])
-        chunk = entries[pos:pos + count]
-        pos += count
-        return chunk
-
     def read_graph():
-        (entry,) = take(1, "edge count")
-        m = _int(entry[1], "edge count", entry[0])
+        ((lineno, line),) = _body_lines(lines, 1, "edge count", last)
+        m = _int(line, lineno, "edge count")
         if m < 0:
-            raise FormatError("edge count must be nonnegative", entry[0])
-        edges = []
-        for e in take(m, "edges"):
-            u, v, lineno = _int_pair(e, "edge")
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"edge vertex out of range: {u} {v}", lineno)
-            edges.append((u, v))
-        return Graph(n, edges)
+            raise FormatError("edge count must be nonnegative", lineno)
+        return Graph(n, _pairs(_body_lines(lines, m, "edges", last), n))
 
     endpoints = None
     try:
         if kind == "intervals":
-            endpoints = []
-            for entry in take(n, "interval endpoints"):
-                l, r, lineno = _int_pair(entry, "interval endpoints")
-                if l > r:
-                    raise FormatError(f"malformed endpoint pair ({l}, {r})", lineno)
-                endpoints.append((l, r))
+            endpoints = _pairs(_body_lines(lines, n, "interval endpoints", last))
             representation = model_from_intervals(endpoints)
         elif kind == "edges":
             representation = read_graph()
         else:
-            (entry,) = take(1, "clique part")
+            (entry,) = _body_lines(lines, 1, "clique part", last)
             key, val, lineno = _kv(entry)
             if key != "K":
                 raise FormatError("split body must start with 'K: ...'", lineno)
@@ -213,19 +210,13 @@ def parse_document(text):
             for v in kpart:
                 if not 0 <= v < n:
                     raise FormatError(f"clique part vertex {v} out of range", lineno)
-            g = read_graph()
-            representation = SplitModel(g, kpart, set(range(n)) - set(kpart))
+            representation = SplitModel(read_graph(), kpart)
     except InvariantError as exc:
         raise FormatError(str(exc)) from exc
 
     fields = _Fields()
-    fields.end = entries[-1][0]
-    while pos < len(entries):
-        key, val, lineno = _kv(entries[pos])
-        pos += 1
-        if key in fields:
-            raise FormatError(f"duplicate key '{key}'", lineno)
-        fields[key] = (val, lineno)
+    fields.end = last
+    _read_fields(lines, fields)
     return header, representation, endpoints, fields
 
 
@@ -241,10 +232,8 @@ def parse_instance(text):
     rule, lineno = need_header("rule")
     if rule not in RULES:
         raise FormatError(f"unknown rule '{rule}'", lineno)
-    cval, clineno = need_header("c")
-    c = _int(cval, "c", clineno)
-    kval, klineno = need_header("k")
-    k = _int(kval, "k", klineno)
+    c = _int(*need_header("c"), "c")
+    k = _int(*need_header("k"), "k")
     if "S" not in fields or "S2" not in fields:
         raise FormatError("missing 'S:' or 'S2:' after body", fields.end)
     start = set(_vertex_list(*fields["S"]))
@@ -279,7 +268,7 @@ def render_instance(inst):
         if inst.repr_kind == "split":
             out.append(_set_line("K", rep.clique_part))
             rep = rep.graph
-        edges = sorted(rep.edges())
+        edges = list(rep.edges())
         out.append(str(len(edges)))
         out.extend(f"{u} {v}" for u, v in edges)
     out.append(_set_line("S", inst.start))
@@ -314,13 +303,13 @@ def parse_sequence(text):
     steps = []
     for lineno, line in entries[1:]:
         if line.startswith("+"):
-            steps.append(("+", _int(line[1:].strip(), "vertex", lineno)))
+            steps.append(("+", _int(line[1:].strip(), lineno, "vertex")))
         elif line.startswith("-"):
-            steps.append(("-", _int(line[1:].strip(), "vertex", lineno)))
+            steps.append(("-", _int(line[1:].strip(), lineno, "vertex")))
         elif ">" in line:
             u, _, v = line.partition(">")
-            steps.append((">", _int(u.strip(), "vertex", lineno),
-                          _int(v.strip(), "vertex", lineno)))
+            steps.append((">", _int(u.strip(), lineno, "vertex"),
+                          _int(v.strip(), lineno, "vertex")))
         else:
             raise FormatError(f"bad step '{line}'", lineno)
     return ReconSequence(start, steps)

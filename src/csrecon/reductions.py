@@ -79,7 +79,7 @@ def isr_to_split_csr(g, ind_start, ind_target):
     """
     ind_start = set(ind_start)
     ind_target = set(ind_target)
-    nbrs = g.neighbor_sets
+    nbrs = g.adjacency
     for name, s in (("I", ind_start), ("I2", ind_target)):
         for v in s:
             if not 0 <= v < g.n:
@@ -91,7 +91,7 @@ def isr_to_split_csr(g, ind_start, ind_target):
     c = g.n - len(ind_start)
     if c < 1:
         raise InvariantError("independent sets must leave at least one vertex uncovered")
-    src_edges = sorted(g.edges())
+    src_edges = list(g.edges())
     m = len(src_edges)
     n = g.n
     hedges = list(combinations(range(n), 2))
@@ -103,7 +103,7 @@ def isr_to_split_csr(g, ind_start, ind_target):
             if v != eu and v != ev:
                 hedges.append((v, ev_vertex))
     graph = Graph(n + m, hedges)
-    model = SplitModel(graph, range(n), range(n, n + m))
+    model = SplitModel(graph, range(n))
     k = m + c
     all_vertices = set(range(n + m))
     return SplitReductionOutput(model, c, k,
@@ -230,7 +230,7 @@ def check_cocomp_order(g, order):
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InvariantError("order is not a permutation of the vertices")
-    nbrs = g.neighbor_sets
+    nbrs = g.adjacency
     for a in range(len(order)):
         u = order[a]
         for b in range(a + 2, len(order)):

@@ -63,7 +63,7 @@ class _MetaRule:
 
     def __init__(self, model, c, k):
         ind = model.independent_part
-        nbrs = model.graph.neighbor_sets
+        nbrs = model.graph.adjacency
         self.kside = sorted(model.clique_part)
         self.masks = {x: sum(1 << u for u in nbrs[x] & ind) for x in self.kside}
         self.all_ind = sum(1 << u for u in ind)

@@ -187,7 +187,7 @@ def test_c5_split_oracle_equivalence():
 # --- criterion 6: reduction certificates --------------------------------------
 
 def _independent_sets_of_size(g, size):
-    nbrs = g.neighbor_sets
+    nbrs = g.adjacency
     for combo in combinations(range(g.n), size):
         s = set(combo)
         if all(not (nbrs[v] & s) for v in combo):
@@ -216,7 +216,7 @@ def _check_isr_source(g):
         out = isr_to_split_csr(g, sets[0], sets[0])
         model, c, k = out.model, out.c, out.k
         total = model.n
-        nbrs = model.graph.neighbor_sets
+        nbrs = model.graph.adjacency
         # colorable images
         for s in sets:
             assert is_colorable_exact(model.graph, out.phi(s), c), (g.adjacency, s)
@@ -302,7 +302,7 @@ def _check_spr_source(g, s, t, c):
     out = spr_to_cocomp_csr(g, s, t, paths[0], paths[-1], c)
     assert check_cocomp_order(out.graph, out.order) is None
     checks = 1
-    nbrs = out.graph.neighbor_sets
+    nbrs = out.graph.adjacency
     pad = {v for group in out.padding for v in group}
     layer_of = {}
     for i, ids in enumerate(out.layers):
@@ -401,7 +401,7 @@ def _timed_meta(n, seed):
         for v in sorted(kpart):
             if rng.random() < 0.5:
                 edges.append((u, v))
-    model = SplitModel(Graph(n, edges), kpart, set(range(n // 2, n)))
+    model = SplitModel(Graph(n, edges), kpart)
     begin = time.perf_counter()
     meta = build_meta_graph(model, 2, n // 4)
     elapsed = time.perf_counter() - begin

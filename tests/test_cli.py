@@ -364,6 +364,33 @@ def test_reduce_sources_name_the_line_of_a_missing_key(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n", (kind, text)
 
 
+def test_reduce_oct_refuses_rule_before_reading_the_source(tmp_path, capsys):
+    # oct always writes a tar instance, so --rule would be silently ignored
+    out = tmp_path / "out.csr"
+    code = main(["reduce", str(tmp_path / "absent.csr"), "--kind", "oct", "--rule", "tj",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --rule applies only to --kind isr and spr\n"
+
+
+def test_reduce_sources_read_integers_like_instance_headers(tmp_path, capsys):
+    graph = "format: csr/1\nrepr: edges\nn: 4\nbody:\n3\n0 1\n1 2\n0 3\n"
+    spr_fields = "P: 0 1 2\nP2: 0 1 2\n"
+    for kind, text, message in (
+            ("oct", "c: x\nk: 0\n" + graph, "line 1: c must be an integer, got 'x'"),
+            ("oct", "c: 2\nk: y\n" + graph, "line 2: k must be an integer, got 'y'"),
+            ("spr", "c: 2\n" + graph + "s: a\nt: 2\n" + spr_fields,
+             "line 10: s must be an integer, got 'a'"),
+            ("spr", "c: 2\n" + graph + "s: 0\nt: b\n" + spr_fields,
+             "line 11: t must be an integer, got 'b'")):
+        source = _write(tmp_path, "src.csr", text)
+        code = main(["reduce", source, "--kind", kind, "--out", str(tmp_path / "out.csr")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n", (kind, text)
+
+
 E3 = """\
 format: csr/1
 rule: tar

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections.abc import Set as AbstractSet
 from itertools import combinations
 
 import pytest
@@ -36,9 +38,25 @@ from conftest import (
 def test_graph_basics():
     g = Graph(4, [(0, 1), (2, 1), (3, 0)])
     assert g.m == 3
-    assert g.adjacency[1] == [0, 2]
+    assert g.adjacency[1] == {0, 2}
+    assert all(isinstance(nbrs, AbstractSet) for nbrs in g.adjacency)
     assert g.has_edge(1, 2) and not g.has_edge(2, 3)
     assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
+    g = Graph(6, [(4, 5), (3, 0), (5, 1), (0, 4), (2, 0), (1, 3)])
+    assert list(g.edges()) == sorted(g.edges())
+    with pytest.raises(InvariantError, match=r"^parallel edge \(1, 2\)$"):
+        Graph(3, [(0, 1), (1, 2), (2, 1), (1, 0)])
+
+
+def test_isolated_vertices_cost_no_set_each():
+    tracemalloc.start()
+    try:
+        g = Graph(200_000, [(0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.adjacency[2] == set() and g.degree(199_999) == 0
+    assert peak < 4 * 2**20, peak
 
 
 def test_graph_rejects_bad_edges():
@@ -77,7 +95,7 @@ def test_clique_bound_interval_path():
 def _pqr_uw_model():
     # clique {p,q,r}=0,1,2; independent u=3 ~ {p,q}, w=4 ~ {q,r}
     edges = [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (4, 1), (4, 2)]
-    return SplitModel(Graph(5, edges), {0, 1, 2}, {3, 4})
+    return SplitModel(Graph(5, edges), {0, 1, 2})
 
 
 def test_clique_bound_split_example():
@@ -190,12 +208,22 @@ def test_split_partition_random_larger():
             assert got.clique_part | got.independent_part == set(range(n))
 
 
+def test_split_model_derives_the_independent_part():
+    assert _pqr_uw_model().independent_part == {3, 4}
+    rng = random.Random(17)
+    for _ in range(50):
+        model = random_split_model(rng, rng.randint(0, 12))
+        assert model.independent_part == set(range(model.n)) - model.clique_part
+
+
 def test_split_model_rejects_bad_partition():
     g = path_graph(3)
-    with pytest.raises(InvariantError):
-        SplitModel(g, {0, 2}, {1})  # {0,2} is not a clique
-    with pytest.raises(InvariantError):
-        SplitModel(g, {1}, {0, 1, 2})
+    with pytest.raises(InvariantError, match="^clique part is not a clique$"):
+        SplitModel(g, {0, 2})
+    with pytest.raises(InvariantError, match="^independent part is not independent$"):
+        SplitModel(g, {0})
+    with pytest.raises(InvariantError, match="^partition contains a vertex index out of range$"):
+        SplitModel(g, {1, 3})
 
 
 # --- interval model construction --------------------------------------------

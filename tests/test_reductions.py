@@ -128,7 +128,7 @@ def test_isr_rejects_bad_inputs():
 
 
 def _independent_sets_of_size(g, size):
-    nbrs = g.neighbor_sets
+    nbrs = g.adjacency
     for combo in combinations(range(g.n), size):
         s = set(combo)
         if all(not (nbrs[v] & s) for v in combo):
@@ -142,7 +142,7 @@ def _one_step_relations_isr(g, size):
         return None
     out = isr_to_split_csr(g, sets[0], sets[0])
     model, c, k = out.model, out.c, out.k
-    nbrs = model.graph.neighbor_sets
+    nbrs = model.graph.adjacency
     rel = {"src": set(), "ts": set(), "tj": set(), "tar2": set()}
     for i, a in enumerate(sets):
         for j in range(i + 1, len(sets)):
@@ -275,7 +275,7 @@ def _spr_one_step_equivalence(g, s, t, c):
     if len(paths) < 2:
         return 0
     out = spr_to_cocomp_csr(g, s, t, paths[0], paths[1], c)
-    nbrs = out.graph.neighbor_sets
+    nbrs = out.graph.adjacency
     checked = 0
     for i, a in enumerate(paths):
         for b in paths[i + 1:]:

@@ -28,7 +28,7 @@ from csrecon.oracle import oracle_distance
 def pqr_model():
     # clique p,q,r = 0,1,2; independent u=3 ~ {p,q}, w=4 ~ {q,r}
     edges = [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (4, 1), (4, 2)]
-    return SplitModel(Graph(5, edges), {0, 1, 2}, {3, 4})
+    return SplitModel(Graph(5, edges), {0, 1, 2})
 
 
 def test_t_set_examples(pqr_model):
@@ -94,7 +94,7 @@ def test_reachable_trivial_and_locked_pair():
     # two clique vertices, both independent vertices adjacent to both:
     # any singleton clique choice is stuck at floor 1
     g = Graph(4, [(0, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
-    model = SplitModel(g, {0, 1}, {2, 3})
+    model = SplitModel(g, {0, 1})
     assert split_tar_reachable(model, 1, {0}, {0}, 1)
     assert not split_tar_reachable(model, 1, {0}, {1}, 1)
     dist, _ = oracle_distance(model, 1, {0}, {1}, k=1, rule="tar")

@@ -20,9 +20,9 @@ def _split_cases(draw):
     kpart, ipart = range(size_k), range(size_k, n)
     edges = list(combinations(kpart, 2))
     edges += [(x, u) for u in ipart for x in kpart if draw(st.booleans())]
-    model = SplitModel(Graph(n, edges), kpart, ipart)
+    model = SplitModel(Graph(n, edges), kpart)
     c = draw(st.integers(1, 3))
-    nbrs = model.graph.neighbor_sets
+    nbrs = model.graph.adjacency
 
     def colorable_set():
         chosen = set(draw(st.sets(st.sampled_from(kpart), max_size=c))) if size_k else set()

@@ -64,7 +64,7 @@ def test_lazy_search_follows_materialised_order():
 def _isr_pairs():
     sources = [*all_graphs(4), cycle_graph(3), cycle_graph(4), cycle_graph(5)]
     for g in sources:
-        nbrs = g.neighbor_sets
+        nbrs = g.adjacency
         for size in range(g.n):
             sets = [set(combo) for combo in combinations(range(g.n), size)
                     if all(not (nbrs[v] & set(combo)) for v in combo)]

@@ -39,7 +39,8 @@ A fourth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, ``--max-states``,
 ``--max-c``, the exact-coloring guard, ``--emit-sequence`` without
-``--out``, split tj emission and ``oracle --report --emit-sequence``).
+``--out``, split tj emission, ``oracle --report --emit-sequence`` and
+``reduce --kind oct --rule``).
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -300,6 +301,8 @@ def malformed_corpus():
         oracle("--emit-sequence"),
         solve(_sub(SPLIT, "rule: tar", "rule: tj"), "--emit-sequence", "--out", "OUT"),
         oracle("--report", "--emit-sequence"),
+        (["reduce", "src", "--kind", "oct", "--rule", "tj", "--out", "OUT"],
+         {"src": "c: 2\nk: 0\n" + SOURCE}),
     ]
 
 
