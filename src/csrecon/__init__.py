@@ -13,9 +13,7 @@ from .core import (
     InvariantError,
     ResourceLimitError,
     SplitModel,
-    adjacent_in,
     check_sets,
-    colorable,
     interval_clique_counts,
     is_colorable_clique_bound,
     is_colorable_exact,
@@ -35,9 +33,6 @@ from .instances import (
 )
 from .interval_recon import (
     DistanceVerdict,
-    find_addable,
-    find_common_addable,
-    is_locked_within,
     shortest_tar_sequence,
     tar_distance,
     tj_distance,
@@ -61,7 +56,6 @@ from .reductions import (
 )
 from .split_recon import (
     MetaGraph,
-    TSet,
     build_meta_graph,
     split_tar_reachable,
     split_tar_witness,

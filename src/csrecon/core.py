@@ -130,7 +130,7 @@ class IntervalModel:
             self._cliques = buckets
         return self._cliques
 
-    def adjacent(self, u, v):
+    def has_edge(self, u, v):
         lu, ru = self.spans[u]
         lv, rv = self.spans[v]
         return lu <= rv and lv <= ru
@@ -140,31 +140,39 @@ class IntervalModel:
 
 
 class SplitModel:
-    """Split graph: ``clique_part`` is a clique, and the other vertices, the
-    derived ``independent_part``, form an independent set; both are checked.
+    """Split graph: ``clique_part`` is a clique, and the other vertices form an
+    independent set; both are checked.  Only the clique part is stored, so a
+    large vertex count with few edges costs little; ``independent_part`` is
+    built when read.
     """
 
-    __slots__ = ("graph", "clique_part", "independent_part")
+    __slots__ = ("graph", "clique_part")
 
     def __init__(self, graph, clique_part):
         kpart = set(clique_part)
         n = graph.n
         if any(not 0 <= v < n for v in kpart):
             raise InvariantError("partition contains a vertex index out of range")
-        ipart = set(range(n)) - kpart
         nbrs = graph.adjacency
         # no vertex is its own neighbour, so u's non-neighbours in a clique are just u
         if any(len(kpart - nbrs[u]) != 1 for u in kpart):
             raise InvariantError("clique part is not a clique")
-        if any(not nbrs[u].isdisjoint(ipart) for u in ipart):
+        # the independent part is independent iff each of its vertices sees only K
+        if any(nb and u not in kpart and not nb <= kpart for u, nb in enumerate(nbrs)):
             raise InvariantError("independent part is not independent")
         self.graph = graph
         self.clique_part = kpart
-        self.independent_part = ipart
 
     @property
     def n(self):
         return self.graph.n
+
+    @property
+    def independent_part(self):
+        return set(range(self.graph.n)) - self.clique_part
+
+    def has_edge(self, u, v):
+        return self.graph.has_edge(u, v)
 
     def __repr__(self):
         return f"SplitModel(n={self.n}, |K|={len(self.clique_part)})"
@@ -286,11 +294,6 @@ def _exact_classes(g, members, c, limit=DEFAULT_EXACT_LIMIT):
         return False
 
     return classes if extend(0, 0) else None
-
-
-def colorable(g_or_model, members, c):
-    """The clique-bound test on perfect-class models, else backtracking."""
-    return make_tracker(g_or_model, members, c).colorable()
 
 
 def check_sets(rep, c, start, target, k, same_size=False):
@@ -472,14 +475,6 @@ def make_tracker(rep, members, c):
     if isinstance(rep, SplitModel):
         return _SplitTracker(rep, members, c)
     return _ExactTracker(rep, members, c)
-
-
-def adjacent_in(g_or_model, u, v):
-    if isinstance(g_or_model, IntervalModel):
-        return g_or_model.adjacent(u, v)
-    if isinstance(g_or_model, SplitModel):
-        return g_or_model.graph.has_edge(u, v)
-    return g_or_model.has_edge(u, v)
 
 
 def split_partition(g):

@@ -10,7 +10,6 @@ from .core import (
     IntervalModel,
     InvariantError,
     SplitModel,
-    adjacent_in,
     check_sets,
     make_tracker,
     model_from_intervals,
@@ -358,7 +357,7 @@ def verify_sequence(inst, seq):
                 return VerifyResult(False, i, f"vertex {u} not in set")
             if v in members:
                 return VerifyResult(False, i, f"vertex {v} already in set")
-            if inst.rule == "ts" and not adjacent_in(inst.representation, u, v):
+            if inst.rule == "ts" and not inst.representation.has_edge(u, v):
                 return VerifyResult(False, i, f"not an edge: {u} {v}")
             tracker.remove(u)
             if not tracker.can_add(v):

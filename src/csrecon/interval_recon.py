@@ -28,37 +28,14 @@ LOCKED = "locked-in-G"
 class DistanceVerdict:
     """Distance plus the structural case that produced it.
 
-    ``witnesses`` holds the extension vertices used by the locked cases: one
-    vertex for case2/case3a, a pair (start side, target side) for case3b.
-    ``locked_side`` says which set was locked in case2.
+    ``witnesses`` is the pair (u, w) of vertices that the locked cases add to
+    the start and the target set: a shortest sequence opens with ``+u`` and
+    closes with ``-w``.  A side the case leaves alone holds None.
     """
 
     case: str
     distance: int | float
-    witnesses: tuple = ()
-    locked_side: str | None = None
-
-
-def find_addable(model, members, c):
-    """Smallest vertex whose addition keeps the set colorable, or None.
-
-    A None result certifies that the set is maximal.
-    """
-    return next(make_tracker(model, members, c).addable(), None)
-
-
-def find_common_addable(model, s_a, s_b, c):
-    """Smallest vertex outside both sets whose addition keeps both colorable."""
-    t_b = make_tracker(model, s_b, c)
-    return next((v for v in make_tracker(model, s_a, c).addable()
-                 if v not in s_b and t_b.can_add(v)), None)
-
-
-def is_locked_within(model, members, k, c, within):
-    """True iff the set has size exactly k and no vertex of ``within`` extends it."""
-    if len(members) != k:
-        return False
-    return next(make_tracker(model, members, c).addable(within), None) is None
+    witnesses: tuple = (None, None)
 
 
 def tar_distance(model, c, start, target, k):
@@ -80,12 +57,10 @@ def tar_distance(model, c, start, target, k):
     if not locked_a and not locked_b:
         return DistanceVerdict(CASE1, delta)
     if locked_a != locked_b:
-        if locked_a:
-            return DistanceVerdict(CASE2, delta + 2, (u,), locked_side="start")
-        return DistanceVerdict(CASE2, delta + 2, (w,), locked_side="target")
+        return DistanceVerdict(CASE2, delta + 2, (u, None) if locked_a else (None, w))
     v = next((v for v in t_a.addable() if v not in target and t_b.can_add(v)), None)
     if v is not None:
-        return DistanceVerdict(CASE3A, delta + 2, (v,))
+        return DistanceVerdict(CASE3A, delta + 2, (v, v))
     return DistanceVerdict(CASE3B, delta + 4, (u, w))
 
 
@@ -108,24 +83,11 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
     b = set(target)
     prefix = []
     suffix = []
-    if verdict.case == CASE2:
-        (w,) = verdict.witnesses
-        if verdict.locked_side == "start":
-            prefix.append(("+", w))
-            a.add(w)
-        else:
-            suffix.append(("+", w))
-            b.add(w)
-    elif verdict.case == CASE3A:
-        (w,) = verdict.witnesses
-        prefix.append(("+", w))
-        a.add(w)
-        suffix.append(("+", w))
-        b.add(w)
-    elif verdict.case == CASE3B:
-        u, w = verdict.witnesses
+    u, w = verdict.witnesses
+    if u is not None:
         prefix.append(("+", u))
         a.add(u)
+    if w is not None:
         suffix.append(("+", w))
         b.add(w)
     _resolve_unlocked(model, c, k, a, b, prefix, suffix)

@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (
-    InvariantError, ResourceLimitError, adjacent_in, bfs, bfs_path, check_sets, make_tracker,
-)
+from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker
 from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
@@ -48,7 +46,7 @@ class StateSpace:
         else:
             moves = (mask ^ (1 << u | 1 << v) for u in range(n) if mask >> u & 1
                      for v in range(n) if not mask >> v & 1
-                     and (self.rule == "tj" or adjacent_in(self.rep, u, v)))
+                     and (self.rule == "tj" or self.rep.has_edge(u, v)))
         return sorted(j for j in map(self.index.get, moves) if j is not None)
 
     @cached_property
@@ -114,7 +112,12 @@ def build_state_space(g_or_model, c, k, rule, size=None,
     tar = rule == "tar"
     if not tar and rule not in ("tj", "ts"):
         raise InvariantError(f"unknown rule '{rule}'")
-    states = _colorable_masks(g_or_model, c, k if tar else 0, None if tar else size, max_states)
+    try:  # the walk recurses once per member, so a lifted max_n can outgrow the stack
+        states = _colorable_masks(g_or_model, c, k if tar else 0, None if tar else size,
+                                  max_states)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"oracle guard: n={n} nests the enumeration too deep; lower max_n") from None
     return StateSpace(states, {mask: i for i, mask in enumerate(states)}, g_or_model, rule)
 
 

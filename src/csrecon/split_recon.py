@@ -26,20 +26,9 @@ from .instances import ReconSequence
 DEFAULT_MAX_C = 3
 
 
-@dataclass
-class TSet:
-    """A clique-side subset together with its canonical colorable extension."""
-
-    base: frozenset
-    members: frozenset
-
-    @property
-    def size(self):
-        return len(self.members)
-
-
 def t_set(model, base, c):
-    """Extend clique-side subset C by every independent vertex that keeps it colorable.
+    """T(C), as a frozenset: clique-side subset C extended by every
+    independent vertex that keeps it colorable.
 
     Below budget, every independent vertex fits; at exactly c clique
     vertices, independent vertices adjacent to all of C are excluded.
@@ -51,7 +40,7 @@ def t_set(model, base, c):
         raise InvariantError("C may contain at most c vertices")
     tracker = make_tracker(model, base, c)
     fits = {u for u in model.independent_part if tracker.can_add(u)}
-    return TSet(base, base | fits)
+    return base | fits
 
 
 class _MetaRule:
@@ -118,7 +107,7 @@ def _check_budget(c, max_c):
 
 @dataclass
 class MetaGraph:
-    """Nodes are canonical (sorted-tuple) clique-side subsets carrying their extensions."""
+    """Nodes are canonical (sorted-tuple) clique-side subsets; ``tsets`` holds their extensions."""
 
     nodes: list
     tsets: list
@@ -189,16 +178,15 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     path = _meta_path(model, c, k, start, target)
     if path is None:
         return None
-    tsets = [t_set(model, node, c) for node in path]
     steps = []
     cur = set(start)
-    for v in sorted(tsets[0].members - cur):
+    for v in sorted(t_set(model, path[0], c) - cur):
         steps.append(("+", v))
         cur.add(v)
-    for a, b in zip(tsets, tsets[1:]):
-        t_b = b.members
-        if len(b.base) > len(a.base):
-            (v,) = b.base - a.base
+    for a, b in zip(path, path[1:]):
+        t_b = t_set(model, b, c)
+        if len(b) > len(a):
+            (v,) = set(b) - set(a)
             mid = t_b - {v}
             for u in sorted(cur - mid):
                 steps.append(("-", u))
@@ -206,13 +194,13 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
             steps.append(("+", v))
             cur.add(v)
         else:
-            (v,) = a.base - b.base
+            (v,) = set(a) - set(b)
             steps.append(("-", v))
             cur.remove(v)
             for u in sorted(t_b - cur):
                 steps.append(("+", u))
                 cur.add(u)
-        if cur != set(t_b):
+        if cur != t_b:
             raise RuntimeError("meta-graph step did not land on the node extension")
     for u in sorted(cur - target):
         steps.append(("-", u))

@@ -45,7 +45,7 @@ def e5_model():
 
 def graph_from_model(model: IntervalModel) -> Graph:
     n = model.n
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if model.adjacent(u, v)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if model.has_edge(u, v)]
     return Graph(n, edges)
 
 

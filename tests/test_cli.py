@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, answer lines, files."""
 from __future__ import annotations
 
+import os
 import re
 import shutil
 import subprocess
@@ -212,6 +213,22 @@ S2:
     e2 = _write(tmp_path, "e2.csr", E2)
     assert main(["oracle", e2, "--report", "--max-states", "1"]) == 2
     assert "max_states=1" in capsys.readouterr().err
+
+
+def test_oracle_refuses_a_walk_too_deep_for_the_stack(tmp_path):
+    # 1,200 disjoint points at c = 1 and k = n: the one state lies 1,200 additions deep
+    n = 1200
+    members = " ".join(map(str, range(n)))
+    body = "\n".join(f"{2 * v} {2 * v}" for v in range(n))
+    inst = _write(tmp_path, "deep.csr", f"format: csr/1\nrule: tar\nc: 1\nk: {n}\n"
+                  f"repr: intervals\nn: {n}\nbody:\n{body}\nS: {members}\nS2: {members}\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "csrecon.cli", "oracle", inst, "--max-n", "2000"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "oracle guard" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_command(tmp_path, capsys):

@@ -14,7 +14,6 @@ from csrecon import (
     ResourceLimitError,
     SplitModel,
     check_sets,
-    colorable,
     is_colorable_clique_bound,
     is_colorable_exact,
     model_from_intervals,
@@ -216,6 +215,18 @@ def test_split_model_derives_the_independent_part():
         assert model.independent_part == set(range(model.n)) - model.clique_part
 
 
+def test_split_model_costs_nothing_per_independent_vertex():
+    g = Graph(200_000, [(0, 1)])
+    tracemalloc.start()
+    try:
+        model = SplitModel(g, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.clique_part == {0} and len(model.independent_part) == 199_999
+    assert peak < 2**20, peak
+
+
 def test_split_model_rejects_bad_partition():
     g = path_graph(3)
     with pytest.raises(InvariantError, match="^clique part is not a clique$"):
@@ -248,13 +259,14 @@ def test_model_rejects_reversed_pair():
 
 def _check_model_invariants(endpoints, model):
     n = model.n
-    # adjacency by spans == adjacency by raw intervals, all pairs
-    for u in range(n):
-        lu, ru = endpoints[u]
-        for v in range(u + 1, n):
-            lv, rv = endpoints[v]
-            raw = lu <= rv and lv <= ru
-            assert model.adjacent(u, v) == raw
+    raw_edges = {(u, v) for u, v in combinations(range(n), 2)
+                 if endpoints[u][0] <= endpoints[v][1] and endpoints[v][0] <= endpoints[u][1]}
+    # adjacency by spans, and by a split model of the same graph when it is split,
+    # == adjacency by raw intervals, all pairs
+    split = split_partition(Graph(n, raw_edges))
+    for rep in (model,) if split is None else (model, split):
+        for u, v in combinations(range(n), 2):
+            assert rep.has_edge(u, v) == ((u, v) in raw_edges)
     # membership matches spans exactly
     for i, clique in enumerate(model.cliques, start=1):
         members = set(clique)
@@ -266,7 +278,7 @@ def _check_model_invariants(endpoints, model):
     for a, b in combinations(range(len(sets)), 2):
         assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
     # total clique size bound
-    m = sum(1 for u in range(n) for v in range(u + 1, n) if model.adjacent(u, v))
+    m = sum(1 for u in range(n) for v in range(u + 1, n) if model.has_edge(u, v))
     assert sum(len(cl) for cl in sets) <= 2 * m + n
 
 
@@ -299,9 +311,9 @@ def test_greedy_set_is_colorable_and_maximal():
                 random_split_model(rng, n), random_graph(rng, n, p=0.5))
         for rep in reps:
             chosen = greedy_set(rep, c, rng)
-            assert colorable(rep, chosen, c)
+            assert make_tracker(rep, chosen, c).colorable()
             for v in set(range(n)) - chosen:
-                assert not colorable(rep, chosen | {v}, c)
+                assert not make_tracker(rep, chosen | {v}, c).colorable()
 
 
 def test_check_sets_returns_trackers_of_both_sets():

@@ -9,10 +9,7 @@ import pytest
 from csrecon import (
     Instance,
     InvariantError,
-    find_addable,
-    find_common_addable,
     interval_clique_counts,
-    is_locked_within,
     model_from_intervals,
     shortest_tar_sequence,
     tar_distance,
@@ -20,6 +17,7 @@ from csrecon import (
     tj_sequence,
     verify_sequence,
 )
+from csrecon.core import make_tracker
 from csrecon.generators import greedy_set, random_endpoints
 from csrecon.oracle import oracle_distance
 
@@ -32,22 +30,37 @@ def test_profile_examples(e1_model):
 
 
 def test_find_addable_examples(e1_model):
-    assert find_addable(e1_model, {1}, 1) is None
-    assert find_addable(e1_model, {0}, 1) == 2
-    assert find_addable(e1_model, set(), 3) == 0
+    # the smallest vertex whose addition keeps the set colorable; None certifies maximality
+    def first(members, c):
+        return next(make_tracker(e1_model, members, c).addable(), None)
+
+    assert first({1}, 1) is None
+    assert first({0}, 1) == 2
+    assert first(set(), 3) == 0
 
 
 def test_find_common_addable_examples(e3_model, e5_model):
-    assert find_common_addable(e5_model, {0}, {1}, 1) == 2
-    assert find_common_addable(e3_model, {1}, {2}, 1) is None
-    assert find_common_addable(e3_model, set(), set(), 1) == 0
+    # the smallest vertex outside both sets whose addition keeps both colorable
+    def common(model, s_a, s_b, c):
+        t_b = make_tracker(model, s_b, c)
+        return next((v for v in make_tracker(model, s_a, c).addable()
+                     if v not in s_b and t_b.can_add(v)), None)
+
+    assert common(e5_model, {0}, {1}, 1) == 2
+    assert common(e3_model, {1}, {2}, 1) is None
+    assert common(e3_model, set(), set(), 1) == 0
 
 
 def test_is_locked_within_examples(e2_model, e4_model):
-    assert is_locked_within(e2_model, {0}, 1, 1, {0, 1})
-    assert not is_locked_within(e2_model, {0, 1} - {1}, 2, 1, {0, 1})  # |S| != k
-    assert is_locked_within(e4_model, {1}, 1, 1, {0, 1, 2})
-    assert not is_locked_within(e4_model, {1}, 1, 1, {0, 1, 2, 3})
+    # locked within W: size exactly k, and no vertex of W extends the set
+    def locked(model, members, k, within):
+        return len(members) == k and next(make_tracker(model, members, 1).addable(within),
+                                          None) is None
+
+    assert locked(e2_model, {0}, 1, {0, 1})
+    assert not locked(e2_model, {0, 1} - {1}, 2, {0, 1})  # |S| != k
+    assert locked(e4_model, {1}, 1, {0, 1, 2})
+    assert not locked(e4_model, {1}, 1, {0, 1, 2, 3})
 
 
 GOLDEN = [
@@ -89,6 +102,52 @@ def test_exact_sequence_steps(e1_model, e5_model):
     assert shortest_tar_sequence(e1_model, 1, {0}, {2}, 1).steps == [("+", 2), ("-", 0)]
     assert shortest_tar_sequence(e5_model, 1, {0}, {1}, 1).steps == \
         [("+", 2), ("-", 0), ("+", 1), ("-", 2)]
+
+
+def test_witness_pair_of_every_verdict_case():
+    """Draw small instances until every case occurs; check the (u, w) shape of each.
+
+    u extends the start set and w the target set, so a shortest sequence
+    opens with +u and closes with -w; a side the case leaves alone holds None.
+    """
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(20_000):
+        n = rng.randint(1, 10)
+        c = rng.choice((1, 2))
+        model = model_from_intervals(random_endpoints(rng, n))
+        short = max(len(greedy_set(model, c, rng)) - 1, 0)
+        start = greedy_set(model, c, rng, target=rng.randint(0, short))
+        target = greedy_set(model, c, rng, target=rng.randint(0, short))
+        k = min(len(start), len(target))
+        verdict = tar_distance(model, c, start, target, k)
+        seen.add(verdict.case)
+        u, w = verdict.witnesses
+        union = start | target
+        if verdict.case in ("identical", "case1", "locked-in-G"):
+            assert (u, w) == (None, None)
+        elif verdict.case == "case2":
+            assert (u is None) != (w is None)
+            # the witness sits on the side that is locked within the union
+            side, other = (start, target) if u is not None else (target, start)
+            assert len(side) == k
+            assert next(make_tracker(model, side, c).addable(other - side), None) is None
+        elif verdict.case == "case3a":
+            assert u is not None and u == w and u not in union
+        else:
+            assert verdict.case == "case3b"
+            assert None not in (u, w) and u != w and not {u, w} & union
+        for v, side in ((u, start), (w, target)):
+            if v is not None:
+                assert v not in side and make_tracker(model, side, c).can_add(v)
+        seq = shortest_tar_sequence(model, c, start, target, k, verdict=verdict)
+        if u is not None:
+            assert seq.steps[0] == ("+", u)
+        if w is not None:
+            assert seq.steps[-1] == ("-", w)
+        if seen == {"identical", "case1", "case2", "case3a", "case3b", "locked-in-G"}:
+            break
+    assert len(seen) == 6, seen
 
 
 def test_identical_sets_give_empty_sequence(e1_model):

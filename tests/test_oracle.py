@@ -18,7 +18,6 @@ from csrecon import (
     oracle_distance,
     verify_sequence,
 )
-from csrecon.core import adjacent_in
 from csrecon.generators import random_endpoints, random_graph, random_split_model
 from csrecon import core, oracle
 from csrecon.oracle import build_state_space
@@ -268,7 +267,7 @@ def test_adjacency_equals_brute_force_steps():
                         if rule == "tar":
                             step = len(diff) == 1
                         else:
-                            step = len(diff) == 2 and (rule == "tj" or adjacent_in(rep, *diff))
+                            step = len(diff) == 2 and (rule == "tj" or rep.has_edge(*diff))
                         if step:
                             row.append(j)
                     want.append(row)

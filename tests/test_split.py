@@ -33,15 +33,15 @@ def pqr_model():
 
 def test_t_set_examples(pqr_model):
     empty = t_set(pqr_model, set(), 2)
-    assert empty.members == frozenset({3, 4}) and empty.size == 2
+    assert empty == frozenset({3, 4}) and isinstance(empty, frozenset)
 
     ts = t_set(pqr_model, {0, 1}, 2)
-    assert ts.members == frozenset({0, 1, 4})
-    assert is_colorable_exact(pqr_model.graph, ts.members, 2)
+    assert ts == frozenset({0, 1, 4})
+    assert is_colorable_exact(pqr_model.graph, ts, 2)
 
     ts = t_set(pqr_model, {0, 2}, 2)
-    assert ts.members == frozenset({0, 2, 3, 4})
-    assert is_colorable_exact(pqr_model.graph, ts.members, 2)
+    assert ts == frozenset({0, 2, 3, 4})
+    assert is_colorable_exact(pqr_model.graph, ts, 2)
 
 
 def test_t_set_rejects_bad_inputs(pqr_model):
@@ -68,7 +68,7 @@ def test_meta_graph_edge_condition(pqr_model):
             continue
         i, j = meta.index[()], meta.index[(0,)]
         has_edge = j in meta.adj[i]
-        assert has_edge == (meta.tsets[j].size >= k + 1)
+        assert has_edge == (len(meta.tsets[j]) >= k + 1)
 
 
 def test_meta_graph_cap():
@@ -85,9 +85,9 @@ def test_t_sets_colorable_and_contain_sources(pqr_model):
         c = rng.choice([1, 2, 3])
         meta = build_meta_graph(model, c, 0)
         for ts in meta.tsets:
-            assert is_colorable_clique_bound(model, ts.members, c)
+            assert is_colorable_clique_bound(model, ts, c)
         s = greedy_set(model, c, rng, target=rng.randint(0, model.n))
-        assert s <= t_set(model, s & model.clique_part, c).members
+        assert s <= t_set(model, s & model.clique_part, c)
 
 
 def test_reachable_trivial_and_locked_pair():
@@ -157,7 +157,7 @@ def test_meta_edge_soundness_small():
                 if j < i:
                     continue
                 a, b = meta.tsets[i], meta.tsets[j]
-                dist, _ = oracle_distance(model, c, set(a.members), set(b.members),
+                dist, _ = oracle_distance(model, c, set(a), set(b),
                                           k=k, rule="tar")
                 assert dist != math.inf
         # non-edges one vertex apart whose larger extension sits exactly at
@@ -168,7 +168,7 @@ def test_meta_edge_soundness_small():
                 j = meta.index.get(smaller)
                 if j is None or j in meta.adj[i]:
                     continue
-                assert meta.tsets[i].size == k
-                dist, _ = oracle_distance(model, c, set(meta.tsets[i].members),
-                                          set(meta.tsets[j].members), k=k, rule="tar")
+                assert len(meta.tsets[i]) == k
+                dist, _ = oracle_distance(model, c, set(meta.tsets[i]),
+                                          set(meta.tsets[j]), k=k, rule="tar")
                 assert dist == math.inf

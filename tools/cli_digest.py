@@ -37,10 +37,11 @@ benchmark's ``oracle_small`` workload (random graphs with edge probability
 
 A fourth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
-runs each guard and refusal once (``--max-n``, ``--max-states``,
-``--max-c``, the exact-coloring guard, ``--emit-sequence`` without
-``--out``, split tj emission, ``oracle --report --emit-sequence`` and
-``reduce --kind oct --rule``).
+runs each guard and refusal once (``--max-n``, also lifted past the depth
+the oracle's walk can nest, ``--max-states``, ``--max-c``, the
+exact-coloring guard, ``--emit-sequence`` without ``--out``, split tj
+emission, ``oracle --report --emit-sequence`` and ``reduce --kind oct
+--rule``).
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -208,6 +209,11 @@ def malformed_corpus():
     ts = _sub(INTERVALS, "rule: tar", "rule: ts")
     tj_pair = _sub(INTERVALS, "rule: tar", "rule: tj", "S: 0\n", "S: 0 2\n", "S2: 2", "S2: 0 2")
     many = " ".join(map(str, range(65)))
+    # 1,200 disjoint points at c = 1 and k = n: the one state lies 1,200 additions deep
+    everything = " ".join(map(str, range(1200)))
+    deep = _sub(INTERVALS, "k: 1", "k: 1200", "n: 3", "n: 1200",
+                "1 1\n1 2\n2 2\n", "".join(f"{2 * v} {2 * v}\n" for v in range(1200)),
+                "S: 0", f"S: {everything}", "S2: 2", f"S2: {everything}")
     return [
         # instance parsing
         solve(""),
@@ -294,6 +300,7 @@ def malformed_corpus():
         (["solve", "OUT"], {}),
         # guards and refusals
         oracle("--max-n", "2"),
+        (["oracle", "inst", "--max-n", "2000"], {"inst": deep}),
         oracle("--max-states", "1"),
         solve(SPLIT, "--max-c", "0"),
         solve(_sub(EDGES, "n: 3", "n: 65", "2\n0 1\n1 2\n", "0\n", "S: 0", f"S: {many}")),
