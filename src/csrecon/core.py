@@ -254,10 +254,10 @@ def is_colorable_clique_bound(model, members, c):
 
 
 def is_colorable_exact(g, members, c, limit=DEFAULT_EXACT_LIMIT):
-    """Exact colorability of the induced subgraph by backtracking.
+    """Exact colorability of the induced subgraph: linear for c <= 2, backtracking above.
 
-    Guarded by ``limit`` on the set size; raise the limit explicitly for
-    bigger sets.
+    Guarded by ``limit`` on the set size for every c; raise the limit
+    explicitly for bigger sets.
     """
     return _exact_classes(g, members, c, limit) is not None
 
@@ -265,8 +265,11 @@ def is_colorable_exact(g, members, c, limit=DEFAULT_EXACT_LIMIT):
 def _exact_classes(g, members, c, limit=DEFAULT_EXACT_LIMIT):
     """A proper coloring of ``members`` as min(c, n) class bitmasks, or None.
 
-    Color symmetry is broken by letting each vertex use at most one color
-    beyond the highest color placed so far.
+    For c <= 2, breadth-first layers swept as bitmasks decide it in linear
+    time: a set is 1-colorable iff independent and 2-colorable iff no layer
+    holds an edge, which would close an odd cycle (König); the alternating
+    sides are the classes.  Only c >= 3 backtracks, letting each vertex use
+    at most one color beyond the highest placed so far.
     """
     verts = sorted(members)
     if c < 0:
@@ -279,6 +282,23 @@ def _exact_classes(g, members, c, limit=DEFAULT_EXACT_LIMIT):
         raise ResourceLimitError(
             f"exact coloring guard: set size {len(verts)} exceeds {limit}")
     nbrs = g.neighbor_masks
+    if c <= 2:
+        rest, sides = sum(1 << v for v in verts), [0, 0]
+        while rest:
+            layer, side = rest & -rest, 0
+            while layer:
+                rest ^= layer
+                sides[side] |= layer
+                reach = 0
+                while layer:
+                    low = layer & -layer
+                    reach |= nbrs[low.bit_length() - 1]
+                    layer ^= low
+                if reach & sides[side] or c == 1 and reach & rest:   # c = 1: no second side
+                    return None
+                side ^= 1
+                layer = reach & rest
+        return sides[:c]
     classes = [0] * c
 
     def extend(i, used):
@@ -412,8 +432,9 @@ class _SplitTracker:
 class _ExactTracker:
     """A set of a plain graph with a proper coloring kept as class bitmasks.
 
-    ``can_add(v)`` backtracks only when v sees every color, keeping the
-    coloring it finds; the start set is colored on first use.
+    ``can_add(v)`` recolors only when v sees every color, in linear time for
+    c <= 2 and by backtracking for c >= 3, and keeps the coloring it finds;
+    the start set is colored on first use.
     """
 
     def __init__(self, g, members, c):
@@ -428,20 +449,16 @@ class _ExactTracker:
             self.classes = _exact_classes(self.g, self.members, self.c)  # raises past the guard
         return self.classes is not None
 
-    def _free_class(self, v):
-        seen = self.nbrs[v]
-        for i, cls in enumerate(self.classes):
-            if not cls & seen:
-                return i
-
     def can_add(self, v):
         members = self.members
         if len(members) >= max(DEFAULT_EXACT_LIMIT, self.c):  # past the guard: answer or raise
             return _exact_classes(self.g, members | {v}, self.c) is not None
-        if not self.colorable():
+        if self.classes is None and not self.colorable():
             return False
-        if self._free_class(v) is not None:
-            return True
+        seen = self.nbrs[v]
+        for cls in self.classes:
+            if not cls & seen:
+                return True
         classes = _exact_classes(self.g, members | {v}, self.c)
         if classes is not None:
             self.classes = [cls & ~(1 << v) for cls in classes]
@@ -450,16 +467,19 @@ class _ExactTracker:
     def add(self, v):
         self.members.add(v)
         if self.classes is not None:
-            i = self._free_class(v)
-            if i is None:
-                self.classes = None     # recolored on next use
-            else:
-                self.classes[i] |= 1 << v
+            seen = self.nbrs[v]
+            for i, cls in enumerate(self.classes):
+                if not cls & seen:
+                    self.classes[i] = cls | 1 << v
+                    return
+            self.classes = None     # recolored on next use
 
     def remove(self, v):
         self.members.discard(v)
-        if self.classes is not None:
-            self.classes = [cls & ~(1 << v) for cls in self.classes]
+        for i, cls in enumerate(self.classes or ()):
+            if cls >> v & 1:
+                self.classes[i] = cls ^ 1 << v
+                return
 
 
 def make_tracker(rep, members, c):

@@ -51,12 +51,12 @@ class _MetaRule:
     """
 
     def __init__(self, model, c, k):
-        ind = model.independent_part
+        kpart = model.clique_part
         nbrs = model.graph.adjacency
-        self.kside = sorted(model.clique_part)
-        self.masks = {x: sum(1 << u for u in nbrs[x] & ind) for x in self.kside}
-        self.all_ind = sum(1 << u for u in ind)
-        self.n_ind = len(ind)
+        self.kside = sorted(kpart)
+        self.masks = {x: sum(1 << u for u in nbrs[x] - kpart) for x in self.kside}
+        self.all_ind = (1 << model.n) - 1 - sum(1 << x for x in self.kside)
+        self.n_ind = model.n - len(kpart)
         self.c = c
         self.k = k
 

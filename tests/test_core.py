@@ -120,6 +120,10 @@ def test_exact_coloring_guard():
     with pytest.raises(ResourceLimitError):
         is_colorable_exact(g, range(66), 1)
     assert is_colorable_exact(g, range(66), 1, limit=70)
+    # the linear c <= 2 search keeps the guard too
+    with pytest.raises(ResourceLimitError, match="exact coloring guard: set size 65 exceeds 64"):
+        is_colorable_exact(path_graph(70), range(65), 2)
+    assert is_colorable_exact(path_graph(70), range(65), 2, limit=65)
 
 
 def test_exact_matches_brute_force_random():
@@ -131,6 +135,31 @@ def test_exact_matches_brute_force_random():
         members = {v for v in range(n) if rng.random() < 0.6}
         c = rng.randint(1, 3)
         assert is_colorable_exact(g, members, c) == brute_force_colorable(g, members, c)
+
+
+def test_exact_classes_match_brute_force_and_color_properly():
+    rng = random.Random(13)
+    refused = {1: 0, 2: 0, 3: 0}
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, p=rng.uniform(0.05, 0.5))
+        c = rng.randint(1, 3)
+        # the brute force tries c^|S| colorings: keep |S| small at c = 3
+        members = set(rng.sample(range(n), rng.randint(0, n if c < 3 else min(n, 8))))
+        classes = core._exact_classes(g, members, c)
+        assert (classes is not None) == brute_force_colorable(g, members, c), \
+            (g.adjacency, members, c)
+        if classes is None:
+            refused[c] += 1
+            continue
+        assert len(classes) == min(c, n)
+        union = 0
+        for cls in classes:
+            assert not union & cls
+            union |= cls
+            assert not any(cls & g.neighbor_masks[v] for v in members if cls >> v & 1)
+        assert union == sum(1 << v for v in members)
+    assert all(refused.values())
 
 
 def test_clique_bound_agrees_with_exact_interval_and_split():

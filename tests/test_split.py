@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -20,8 +21,10 @@ from csrecon import (
     t_set,
     verify_sequence,
 )
+from csrecon.cli import main
 from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
+from csrecon.split_recon import _MetaRule
 
 
 @pytest.fixture
@@ -69,6 +72,30 @@ def test_meta_graph_edge_condition(pqr_model):
         i, j = meta.index[()], meta.index[(0,)]
         has_edge = j in meta.adj[i]
         assert has_edge == (len(meta.tsets[j]) >= k + 1)
+
+
+def test_meta_rule_masks_match_the_independent_part():
+    rng = random.Random(43)
+    for _ in range(200):
+        model = random_split_model(rng, rng.randint(0, 12), p=rng.random())
+        ind = model.independent_part
+        rule = _MetaRule(model, rng.randint(1, 3), 0)
+        assert rule.all_ind == sum(1 << u for u in ind)
+        assert rule.n_ind == len(ind)
+        assert rule.masks == {x: sum(1 << u for u in model.graph.adjacency[x] & ind)
+                              for x in model.clique_part}
+
+
+def test_split_solve_is_linear_in_the_header_n(tmp_path, capsys):
+    # one edge and n = 400,000: the mask of the independent part must not be
+    # summed bit by bit, which copies a growing int n times
+    path = tmp_path / "wide.csr"
+    path.write_text("format: csr/1\nrule: tar\nc: 1\nk: 0\nrepr: split\nn: 400000\n"
+                    "body:\nK: 0 1\n1\n0 1\nS: 0\nS2: 1\n", encoding="utf-8")
+    began = time.perf_counter()
+    assert main(["solve", str(path)]) == 0
+    assert time.perf_counter() - began < 1.0
+    assert capsys.readouterr().out.strip() == "reachable"
 
 
 def test_meta_graph_cap():
