@@ -100,9 +100,6 @@ def _cmd_solve(args, split=True):
         return EXIT_OK
     if isinstance(rep, IntervalModel) and inst.rule == "tj":
         dist = tj_distance(rep, inst.c, inst.start, inst.target)
-        if dist == math.inf:
-            print("unreachable")
-            return EXIT_UNREACHABLE
         print(dist)
         if emit:
             _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target))
@@ -221,6 +218,8 @@ def _cmd_reduce(args):
 def _cmd_gen(args):
     if args.n < 0:
         raise InvariantError("vertex count must be nonnegative")
+    if not 0 <= args.p <= 1:
+        raise InvariantError("--p must be between 0 and 1")
     for flag, value, low in (("--coord-max", args.coord_max, 1), ("--max-len", args.max_len, 0)):
         if value is not None and value < low:
             raise InvariantError(f"{flag} must be at least {low}")

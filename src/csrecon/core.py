@@ -181,52 +181,35 @@ class SplitModel:
 def model_from_intervals(endpoints):
     """Build the clique-path model whose adjacency equals interval intersection.
 
-    ``endpoints`` is a list of int pairs ``(left, right)`` with ``left <= right``.  A
-    single left-to-right sweep over the endpoint events finds the maximal
-    cliques: the active set is emitted whenever some interval ends at the
-    current coordinate and some interval has started since the last emission.
-    That rule emits exactly the maximal cliques, so no containment filtering
-    is needed afterwards.  Only clique coordinates and per-vertex spans are
-    computed here; member lists are materialized lazily.
+    ``endpoints`` is a list of int pairs ``(left, right)`` with ``left <= right``.
+    One sweep over the right ends in coordinate order builds the whole path:
+    when some interval has started since the last clique closed, the current
+    right end closes clique t+1, every left end consumed in that step gets
+    index t+1, and each right end gets the current t.  That rule closes
+    exactly the maximal cliques, in path order, so no containment filtering
+    is needed; member lists are materialized lazily.
     """
     for v, (l, r) in enumerate(endpoints):
         if l > r:
             raise InvariantError(f"malformed endpoint pair for vertex {v}: ({l}, {r})")
     n = len(endpoints)
-    if n == 0:
-        return IntervalModel(0, [])
     # events encoded as coord*n + vertex: plain ints sort much faster than
     # tuples, and floor division decodes exactly, negative coords included
     by_left = sorted(l * n + v for v, (l, _) in enumerate(endpoints))
-    by_right = sorted(r * n + v for v, (_, r) in enumerate(endpoints))
-    emit_coords = []
-    i = 0
-    fresh = False
-    for x in by_right:
-        coord = x // n
-        bound = (coord + 1) * n
-        while i < n and by_left[i] < bound:
-            fresh = True
-            i += 1
-        if fresh:
-            emit_coords.append(coord)
-            fresh = False
-    t = len(emit_coords)
     left_idx = [0] * n
-    right_idx = [0] * n
-    p = 0
-    for x in by_left:
-        l = x // n
-        while emit_coords[p] < l:
-            p += 1
-        left_idx[x - l * n] = p + 1
-    p = 0
-    for x in by_right:
+    spans = [None] * n
+    t = i = 0
+    for x in sorted(r * n + v for v, (_, r) in enumerate(endpoints)):
         r = x // n
-        while p + 1 < t and emit_coords[p + 1] <= r:
-            p += 1
-        right_idx[x - r * n] = p + 1
-    return IntervalModel(t, list(zip(left_idx, right_idx)))
+        bound = (r + 1) * n
+        if i < n and by_left[i] < bound:
+            t += 1
+            while i < n and by_left[i] < bound:
+                left_idx[by_left[i] % n] = t
+                i += 1
+        v = x - r * n
+        spans[v] = (left_idx[v], t)
+    return IntervalModel(t, spans)
 
 
 def interval_clique_counts(model, members):

@@ -173,22 +173,21 @@ def _extend_at_floor(model, c, members, candidates, out):
 
 
 def tj_distance(model, c, start, target):
-    """Swap distance between equal-size colorable sets.
+    """Swap distance between equal-size colorable sets; always finite.
 
-    Equals half the TAR distance at threshold one below the common size;
-    infinity propagates (it never arises on clique-path models, where sets of
-    size above the threshold cannot be locked).
+    Half the TAR distance at k = max(|S|-1, 0) (Kamiński, Medvedev and Milanič,
+    TCS 439, 2012).  Only a set of size k can be locked, and |S| = k only when
+    both sets are empty, so the verdict there is ``identical`` or ``case1``.
     """
     start = set(start)
     target = set(target)
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
-    d = tar_distance(model, c, start, target, max(len(start) - 1, 0)).distance
-    return d if d == math.inf else d // 2
+    return tar_distance(model, c, start, target, max(len(start) - 1, 0)).distance // 2
 
 
 def tj_sequence(model, c, start, target):
-    """A shortest swap sequence, or None when unreachable.
+    """A shortest swap sequence; one always exists, as ``tj_distance`` says.
 
     Built by pairing the TAR steps at threshold |S|-1, which alternate
     strictly remove/add there; a different pattern is an internal error.
@@ -198,8 +197,6 @@ def tj_sequence(model, c, start, target):
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
     seq = shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0))
-    if seq is None:
-        return None
     if len(seq.steps) % 2:
         raise RuntimeError("odd step count while pairing swaps")
     steps = []

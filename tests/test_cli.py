@@ -261,6 +261,9 @@ def test_gen_is_deterministic(tmp_path, capsys):
     (["--repr", "split", "--n", "-5"], "vertex count must be nonnegative"),
     (["--repr", "interval", "--n", "5", "--coord-max", "0"], "--coord-max must be at least 1"),
     (["--repr", "interval", "--n", "5", "--max-len", "-1"], "--max-len must be at least 0"),
+    (["--repr", "edges", "--n", "4", "--p", "2"], "--p must be between 0 and 1"),
+    (["--repr", "edges", "--n", "4", "--p", "-1"], "--p must be between 0 and 1"),
+    (["--repr", "edges", "--n", "4", "--p", "nan"], "--p must be between 0 and 1"),
 ])
 def test_gen_rejects_bad_shape_arguments(tmp_path, capsys, shape, message):
     out = tmp_path / "g.csr"

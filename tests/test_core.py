@@ -331,6 +331,36 @@ def test_model_invariants_adversarial():
         _check_model_invariants(endpoints, model_from_intervals(endpoints))
 
 
+def _brute_force_clique_path(endpoints):
+    """(t, spans) from the integer points: the distinct maximal point sets, in order."""
+    if not endpoints:
+        return 0, []
+    points = [frozenset(v for v, (l, r) in enumerate(endpoints) if l <= x <= r)
+              for x in range(min(l for l, _ in endpoints), max(r for _, r in endpoints) + 1)]
+    cliques = []
+    for members in points:
+        if not any(members < other for other in points) and members not in cliques:
+            cliques.append(members)
+    spans = [(min(i for i, cl in enumerate(cliques, 1) if v in cl),
+              max(i for i, cl in enumerate(cliques, 1) if v in cl))
+             for v in range(len(endpoints))]
+    return len(cliques), spans
+
+
+def test_clique_path_matches_brute_force():
+    rng = random.Random(2024)
+    cases = [[]]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pairs = [sorted((rng.randint(-6, 6), rng.randint(-6, 6))) for _ in range(n)]
+        if rng.random() < 0.3:  # duplicates and single points
+            pairs += [pairs[0], (pairs[-1][0], pairs[-1][0])]
+        cases.append([tuple(p) for p in pairs])
+    for endpoints in cases:
+        model = model_from_intervals(endpoints)
+        assert (model.t, list(model.spans)) == _brute_force_clique_path(endpoints)
+
+
 def test_greedy_set_is_colorable_and_maximal():
     rng = random.Random(17)
     for _ in range(60):

@@ -344,9 +344,15 @@ def test_tar_tj_relation_randomized():
         if len(target) < len(start):
             continue
         k = len(start) - 1
-        tar = tar_distance(model, c, start, target, k).distance
+        verdict = tar_distance(model, c, start, target, k)
+        # neither set can be locked one below the common size
+        assert verdict.case in ("identical", "case1")
+        tar = verdict.distance
         tj_oracle, _ = oracle_distance(model, c, start, target, rule="tj")
         assert (tar == math.inf) == (tj_oracle == math.inf)
         if tar != math.inf:
             assert tar == 2 * tj_oracle
-        assert tj_distance(model, c, start, target) == tj_oracle
+        assert tj_distance(model, c, start, target) == tj_oracle == len(start - target)
+        seq = tj_sequence(model, c, start, target)
+        assert len(seq.steps) == len(start - target)
+        assert verify_sequence(Instance(model, "tj", c, 0, start, target), seq).ok

@@ -28,27 +28,33 @@ maximal set, and k the smaller set's size.  Draws continue until every
 falls short.  Each goes through ``solve --emit-sequence --out``,
 ``distance``, ``oracle --emit-sequence --out`` and ``verify``.
 
-A third, fixed corpus stresses the oracle's search order on larger state
+A third, fixed corpus holds interval bodies that ``gen`` cannot draw, since
+``gen`` only draws coordinates >= 1: the SHAPES below (negative
+coordinates, shared endpoints, duplicates, single points and nested runs),
+with SHAPE_DRAWS seeded instances per shape, rule and c in {1, 2}.  Each
+goes through the same commands as the case corpus.
+
+A fourth, fixed corpus stresses the oracle's search order on larger state
 spaces than ``gen``'s n <= 10: ORACLE_DRAWS seeded edge-list instances with
 n = ORACLE_N per rule and c in {1, 2}, drawn like the edge-list cases of the
 benchmark's ``oracle_small`` workload (random graphs with edge probability
 0.4, greedy sets, k up to the smaller set's size).  Each goes through
 ``oracle --emit-sequence --out`` and ``verify``.
 
-A fourth, fixed corpus of malformed inputs holds one instance, sequence or
+A fifth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, also lifted past the depth
 the oracle's walk can nest, ``--max-states``, ``--max-c``, the
 exact-coloring guard, ``--emit-sequence`` without ``--out``, split tj
-emission, ``oracle --report --emit-sequence`` and ``reduce --kind oct
---rule``).
+emission, ``oracle --report --emit-sequence``, ``reduce --kind oct
+--rule`` and ``gen --p`` outside [0, 1]).
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
 directory masked) and the bytes of every file it writes; an exception that
 escapes ``main`` is recorded as a ``crash`` with its type and message.  The
-digest covers every record and the text of every case-corpus and oracle-corpus
-instance.
+digest covers every record and the text of every case-, shape- and
+oracle-corpus instance.
 """
 from __future__ import annotations
 
@@ -70,6 +76,14 @@ CASE_QUOTA = 5
 MAX_CASE_DRAWS = 100_000
 ORACLE_N = 12
 ORACLE_DRAWS = 4
+SHAPES = (
+    [(-4, -1), (-2, 3), (0, 0), (3, 3)],          # negative coordinates
+    [(1, 3), (2, 4), (3, 5), (1, 5), (5, 5)],     # shared endpoints
+    [(2, 4), (2, 4), (2, 4), (4, 6), (4, 6)],     # duplicates
+    [(i, i) for i in range(-3, 4)],               # single points
+    [(-9, 10), (2, 3), (4, 5), (6, 7), (8, 9)],   # nested runs
+)
+SHAPE_DRAWS = 2
 
 
 def case_instances():
@@ -98,6 +112,18 @@ def case_instances():
     if short_cases:
         raise RuntimeError(f"case corpus lacks {short_cases} after {MAX_CASE_DRAWS} draws")
     return [text for case in CASES for text in found[case]]
+
+
+def shape_instances():
+    """Seeded instances on each of SHAPES, SHAPE_DRAWS per rule and c, as csr/1 texts."""
+    from csrecon import model_from_intervals, render_instance
+    from csrecon.generators import _random_instance
+
+    rng = random.Random(0)
+    return [render_instance(_random_instance(rng, model_from_intervals(endpoints), c, rule,
+                                             None, endpoints=endpoints))
+            for endpoints in SHAPES for rule in RULES for c in (1, 2)
+            for _ in range(SHAPE_DRAWS)]
 
 
 def oracle_instances():
@@ -310,11 +336,13 @@ def malformed_corpus():
         oracle("--report", "--emit-sequence"),
         (["reduce", "src", "--kind", "oct", "--rule", "tj", "--out", "OUT"],
          {"src": "c: 2\nk: 0\n" + SOURCE}),
+        (["gen", "--repr", "edges", "--n", "4", "--c", "1", "--seed", "1", "--p", "2",
+          "--out", "OUT"], {}),
     ]
 
 
 def run_corpus(main, seeds, tmp):
-    """Run the seeded commands for seeds 0..seeds-1, then the three fixed corpora, in ``tmp``.
+    """Run the seeded commands for seeds 0..seeds-1, then the four fixed corpora, in ``tmp``.
 
     Returns the command count and the records as (key, bytes) pairs, the
     key being the command's argv with ``tmp`` masked.
@@ -375,9 +403,10 @@ def run_corpus(main, seeds, tmp):
         records.append((f"write <tmp>/{name}.csr", text.encode("utf-8")))
         return os.path.join(tmp, name)
 
-    for i, text in enumerate(case_instances()):
-        base = write_instance(f"case-{i}", text)
-        run_instance(base + ".csr", base, ("distance", base + ".csr"))
+    for name, texts in (("case", case_instances()), ("shape", shape_instances())):
+        for i, text in enumerate(texts):
+            base = write_instance(f"{name}-{i}", text)
+            run_instance(base + ".csr", base, ("distance", base + ".csr"))
     for i, text in enumerate(oracle_instances()):
         base = write_instance(f"oracle-{i}", text)
         seq = run("oracle", base + ".csr", "--emit-sequence", "--out", base + ".seq",
