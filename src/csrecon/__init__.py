@@ -15,7 +15,6 @@ from .core import (
     SplitModel,
     check_sets,
     interval_clique_counts,
-    is_colorable_clique_bound,
     is_colorable_exact,
     model_from_intervals,
     split_partition,

@@ -68,8 +68,7 @@ def _solve_oracle(inst, args, emit):
     dist, seq = oracle_distance(
         inst.representation, inst.c, inst.start, inst.target,
         k=inst.k, rule=inst.rule,
-        max_n=args.max_n, max_states=args.max_states,
-        want_sequence=emit)
+        max_n=args.max_n, max_states=args.max_states)
     if dist == math.inf:
         print("unreachable")
         return EXIT_UNREACHABLE

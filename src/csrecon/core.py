@@ -109,26 +109,15 @@ class IntervalModel:
     ``model_from_intervals`` builds it; the constructor only stores its arguments.
     """
 
-    __slots__ = ("t", "spans", "_cliques")
+    __slots__ = ("t", "spans")
 
     def __init__(self, t, spans):
         self.t = t
         self.spans = spans
-        self._cliques = None
 
     @property
     def n(self):
         return len(self.spans)
-
-    @property
-    def cliques(self):
-        if self._cliques is None:
-            buckets = [[] for _ in range(self.t)]
-            for v, (l, r) in enumerate(self.spans):
-                for i in range(l - 1, r):
-                    buckets[i].append(v)
-            self._cliques = buckets
-        return self._cliques
 
     def has_edge(self, u, v):
         lu, ru = self.spans[u]
@@ -187,7 +176,7 @@ def model_from_intervals(endpoints):
     right end closes clique t+1, every left end consumed in that step gets
     index t+1, and each right end gets the current t.  That rule closes
     exactly the maximal cliques, in path order, so no containment filtering
-    is needed; member lists are materialized lazily.
+    is needed.
     """
     for v, (l, r) in enumerate(endpoints):
         if l > r:
@@ -223,17 +212,6 @@ def interval_clique_counts(model, members):
     counts = list(accumulate(diff))
     counts.pop()
     return counts
-
-
-def is_colorable_clique_bound(model, members, c):
-    """Colorability via the maximum-clique bound.
-
-    Exact on clique-path and split models: a set is c-colorable there iff its
-    induced subgraph has no clique larger than c.
-    """
-    if not isinstance(model, (IntervalModel, SplitModel)):
-        raise TypeError(f"expected IntervalModel or SplitModel, got {type(model).__name__}")
-    return make_tracker(model, members, c).colorable()
 
 
 def is_colorable_exact(g, members, c, limit=DEFAULT_EXACT_LIMIT):

@@ -57,9 +57,6 @@ class ReconSequence:
     start: set
     steps: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.steps)
-
 
 @dataclass
 class VerifyResult:
@@ -275,17 +272,9 @@ def render_instance(inst):
     return "\n".join(out) + "\n"
 
 
-def _render_step(step):
-    if step[0] == "+":
-        return f"+{step[1]}"
-    if step[0] == "-":
-        return f"-{step[1]}"
-    return f"{step[1]}>{step[2]}"
-
-
 def render_sequence(seq):
     out = [_set_line("start", seq.start)]
-    out.extend(_render_step(s) for s in seq.steps)
+    out.extend(f"{s[1]}>{s[2]}" if s[0] == ">" else f"{s[0]}{s[1]}" for s in seq.steps)
     return "\n".join(out) + "\n"
 
 
@@ -293,18 +282,15 @@ def parse_sequence(text):
     entries = _entries(text)
     if not entries:
         raise FormatError("empty sequence text", 1)
-    if ":" not in entries[0][1]:
-        raise FormatError("sequence must begin with 'start: ...'", entries[0][0])
-    key, val, lineno = _kv(entries[0])
-    if key != "start":
+    lineno, line = entries[0]
+    key, colon, val = line.partition(":")
+    if not colon or key.strip() != "start":
         raise FormatError("sequence must begin with 'start: ...'", lineno)
-    start = set(_vertex_list(val, lineno))
+    start = set(_vertex_list(val.strip(), lineno))
     steps = []
     for lineno, line in entries[1:]:
-        if line.startswith("+"):
-            steps.append(("+", _int(line[1:].strip(), lineno, "vertex")))
-        elif line.startswith("-"):
-            steps.append(("-", _int(line[1:].strip(), lineno, "vertex")))
+        if line[0] in "+-":
+            steps.append((line[0], _int(line[1:].strip(), lineno, "vertex")))
         elif ">" in line:
             u, _, v = line.partition(">")
             steps.append((">", _int(u.strip(), lineno, "vertex"),
@@ -317,52 +303,44 @@ def parse_sequence(text):
 def verify_sequence(inst, seq):
     """Replay a sequence against an instance, checking every rule condition.
 
+    A swap u>v is checked as the removal of u then the addition of v, so each
+    step names an optional removed vertex u and an optional added vertex v.
     Returns a VerifyResult; on failure ``step`` is the index of the earliest
     violating step (None when the start set itself is wrong, len(steps) when
     only the final set mismatches).
     """
     if set(seq.start) != set(inst.start):
         return VerifyResult(False, None, "start set does not match S")
-    n = inst.n
-    tracker = make_tracker(inst.representation, seq.start, inst.c)
+    n, c, k, rep = inst.n, inst.c, inst.k, inst.representation
+    tracker = make_tracker(rep, seq.start, c)
     members = tracker.members  # kept in step by the tracker's add and remove
-    tar = inst.rule == "tar"
+    tar, ts = inst.rule == "tar", inst.rule == "ts"
     for i, step in enumerate(seq.steps):
         kind = step[0]
         if tar and kind == ">":
             return VerifyResult(False, i, "swap step not allowed under tar")
         if not tar and kind != ">":
             return VerifyResult(False, i, f"only swap steps allowed under {inst.rule}")
-        if kind == "+":
-            v = step[1]
-            if not 0 <= v < n:
-                return VerifyResult(False, i, f"vertex {v} out of range")
-            if v in members:
-                return VerifyResult(False, i, f"vertex {v} already in set")
-            if not tracker.can_add(v):
-                return VerifyResult(False, i, f"set not {inst.c}-colorable after adding {v}")
-            tracker.add(v)
-        elif kind == "-":
-            v = step[1]
-            if v not in members:
-                return VerifyResult(False, i, f"vertex {v} not in set")
-            tracker.remove(v)
-            if len(members) < inst.k:
-                return VerifyResult(False, i, "size below threshold")
-        else:
-            u, v = step[1], step[2]
-            if not 0 <= v < n:
-                return VerifyResult(False, i, f"vertex {v} out of range")
-            if u not in members:
-                return VerifyResult(False, i, f"vertex {u} not in set")
-            if v in members:
-                return VerifyResult(False, i, f"vertex {v} already in set")
-            if inst.rule == "ts" and not inst.representation.has_edge(u, v):
-                return VerifyResult(False, i, f"not an edge: {u} {v}")
+        u = None if kind == "+" else step[1]
+        v = None if kind == "-" else step[-1]
+        if v is not None and not 0 <= v < n:
+            return VerifyResult(False, i, f"vertex {v} out of range")
+        if u is not None and u not in members:
+            return VerifyResult(False, i, f"vertex {u} not in set")
+        if v in members:  # None is never a member
+            return VerifyResult(False, i, f"vertex {v} already in set")
+        if ts and not rep.has_edge(u, v):
+            return VerifyResult(False, i, f"not an edge: {u} {v}")
+        if u is not None:
             tracker.remove(u)
-            if not tracker.can_add(v):
-                return VerifyResult(False, i, f"set not {inst.c}-colorable after swap {u}>{v}")
+        if v is None:
+            if len(members) < k:
+                return VerifyResult(False, i, "size below threshold")
+        elif tracker.can_add(v):
             tracker.add(v)
+        else:
+            what = f"adding {v}" if u is None else f"swap {u}>{v}"
+            return VerifyResult(False, i, f"set not {c}-colorable after {what}")
     if members != set(inst.target):
         return VerifyResult(False, len(seq.steps), "final set does not match S2")
     return VerifyResult(True)

@@ -129,11 +129,11 @@ def _steps_between(prev, nxt, rule):
 
 
 def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
-                    max_n=DEFAULT_MAX_N, max_states=None, want_sequence=False):
-    """Exact shortest distance by BFS from the start side; optionally a sequence.
+                    max_n=DEFAULT_MAX_N, max_states=None):
+    """Exact shortest distance and a shortest sequence, by BFS from the start side.
 
-    Returns ``(distance, sequence_or_None)``; distance is ``math.inf`` when
-    the two sets lie in different components.
+    Returns ``(distance, sequence)``; when the two sets lie in different
+    components the distance is ``math.inf`` and the sequence is None.
     """
     check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
     space = build_state_space(g_or_model, c, k, rule, size=len(start),
@@ -144,8 +144,6 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     if dst not in parent:
         return math.inf, None
     path = bfs_path(parent, dst)
-    if not want_sequence:
-        return len(path) - 1, None
     steps = [_steps_between(space.states[path[i]], space.states[path[i + 1]], rule)
              for i in range(len(path) - 1)]
     return len(path) - 1, ReconSequence(set(start), steps)

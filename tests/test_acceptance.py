@@ -14,7 +14,6 @@ from csrecon import (
     Instance,
     build_meta_graph,
     check_cocomp_order,
-    is_colorable_clique_bound,
     is_colorable_exact,
     isr_to_split_csr,
     model_from_intervals,
@@ -25,6 +24,7 @@ from csrecon import (
     tar_distance,
     verify_sequence,
 )
+from csrecon.core import make_tracker
 from csrecon.generators import (
     greedy_set,
     random_endpoints,
@@ -225,7 +225,7 @@ def _check_isr_source(g):
         edge_vertices = set(range(g.n, total))
         for removed in combinations(range(total), total - k):
             cand = set(range(total)) - set(removed)
-            if not is_colorable_clique_bound(model, cand, c):
+            if not make_tracker(model, cand, c).colorable():
                 continue
             assert edge_vertices <= cand
             outside = set(range(g.n)) - cand
@@ -245,7 +245,7 @@ def _check_isr_source(g):
                     ts_one = v in nbrs[u]
                     mid = pa & pb
                     tar_two = len(mid) >= k - 1 and \
-                        is_colorable_clique_bound(model, mid, c)
+                        make_tracker(model, mid, c).colorable()
                 assert src_one == ts_one == tj_one == tar_two
                 checks += 1
     return checks

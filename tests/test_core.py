@@ -14,7 +14,6 @@ from csrecon import (
     ResourceLimitError,
     SplitModel,
     check_sets,
-    is_colorable_clique_bound,
     is_colorable_exact,
     model_from_intervals,
     split_partition,
@@ -86,9 +85,9 @@ def test_empty_graph_is_legal():
 
 def test_clique_bound_interval_path():
     model = model_from_intervals([(1, 1), (1, 2), (2, 2)])
-    assert not is_colorable_clique_bound(model, {0, 1}, 1)
-    assert is_colorable_clique_bound(model, {0, 2}, 1)
-    assert is_colorable_clique_bound(model, set(), 1)
+    assert not make_tracker(model, {0, 1}, 1).colorable()
+    assert make_tracker(model, {0, 2}, 1).colorable()
+    assert make_tracker(model, set(), 1).colorable()
 
 
 def _pqr_uw_model():
@@ -99,11 +98,11 @@ def _pqr_uw_model():
 
 def test_clique_bound_split_example():
     model = _pqr_uw_model()
-    assert not is_colorable_clique_bound(model, {0, 1, 3}, 2)
+    assert not make_tracker(model, {0, 1, 3}, 2).colorable()
     # exact backtracking agrees
     assert not is_colorable_exact(model.graph, {0, 1, 3}, 2)
-    assert is_colorable_clique_bound(model, set(), 2)
-    assert is_colorable_clique_bound(model, {0, 2, 3}, 2)
+    assert make_tracker(model, set(), 2).colorable()
+    assert make_tracker(model, {0, 2, 3}, 2).colorable()
 
 
 def test_exact_coloring_small_cases():
@@ -175,7 +174,7 @@ def test_clique_bound_agrees_with_exact_interval_and_split():
             model = random_split_model(rng, n, p=rng.random())
             g = model.graph
         members = {v for v in range(n) if rng.random() < 0.5}
-        assert is_colorable_clique_bound(model, members, c) == \
+        assert make_tracker(model, members, c).colorable() == \
             is_colorable_exact(g, members, c)
         if is_colorable_exact(g, members, c):
             tracker = make_tracker(model, members, c)
@@ -268,17 +267,23 @@ def test_split_model_rejects_bad_partition():
 
 # --- interval model construction --------------------------------------------
 
+def _cliques(model):
+    """Member lists of M_1..M_t, read off the spans."""
+    return [[v for v, (l, r) in enumerate(model.spans) if l <= i <= r]
+            for i in range(1, model.t + 1)]
+
+
 def test_model_examples():
     model = model_from_intervals([(1, 1), (1, 2), (2, 2)])
     assert model.t == 2
-    assert [sorted(cl) for cl in model.cliques] == [[0, 1], [1, 2]]
+    assert _cliques(model) == [[0, 1], [1, 2]]
     assert model.spans == [(1, 1), (1, 2), (2, 2)]
 
     single = model_from_intervals([(5, 9)])
-    assert single.t == 1 and single.cliques == [[0]] and single.spans == [(1, 1)]
+    assert single.t == 1 and _cliques(single) == [[0]] and single.spans == [(1, 1)]
 
     twin = model_from_intervals([(1, 2), (1, 2)])
-    assert twin.t == 1 and sorted(twin.cliques[0]) == [0, 1]
+    assert twin.t == 1 and _cliques(twin) == [[0, 1]]
 
 
 def test_model_rejects_reversed_pair():
@@ -296,14 +301,13 @@ def _check_model_invariants(endpoints, model):
     for rep in (model,) if split is None else (model, split):
         for u, v in combinations(range(n), 2):
             assert rep.has_edge(u, v) == ((u, v) in raw_edges)
-    # membership matches spans exactly
-    for i, clique in enumerate(model.cliques, start=1):
-        members = set(clique)
-        for v in range(n):
-            l, r = model.spans[v]
-            assert (v in members) == (l <= i <= r)
+    # each clique read off the spans is a maximal clique of the raw interval graph
+    nbrs = [{u for u in range(n) if (min(u, v), max(u, v)) in raw_edges} for v in range(n)]
+    sets = [set(cl) for cl in _cliques(model)]
+    for members in sets:
+        assert all((u, v) in raw_edges for u, v in combinations(sorted(members), 2))
+        assert not any(members <= nbrs[v] for v in range(n) if v not in members)
     # no clique contains another
-    sets = [set(cl) for cl in model.cliques]
     for a, b in combinations(range(len(sets)), 2):
         assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
     # total clique size bound

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,10 @@ from csrecon.generators import (
     random_interval_instance,
     random_split_instance,
 )
-from csrecon.instances import parse_document
+from csrecon.cli import main
+from csrecon.instances import VerifyResult, parse_document
+
+from conftest import brute_force_colorable, graph_from_model, graph_from_split
 
 MINIMAL = """\
 format: csr/1
@@ -275,3 +279,119 @@ def test_verify_malformed_replay():
     assert not res.ok and "already in set" in res.reason
     res = verify_sequence(inst, ReconSequence({0}, [("-", 2)]))
     assert not res.ok and "not in set" in res.reason
+
+
+def _reference_replay(inst, seq, g):
+    """verify_sequence's contract on a plain set, one branch per step kind,
+    with colorability decided by brute force on the plain graph ``g``."""
+    if set(seq.start) != inst.start:
+        return VerifyResult(False, None, "start set does not match S")
+    cur = set(seq.start)
+    for i, step in enumerate(seq.steps):
+        if inst.rule == "tar" and step[0] == ">":
+            return VerifyResult(False, i, "swap step not allowed under tar")
+        if inst.rule != "tar" and step[0] != ">":
+            return VerifyResult(False, i, f"only swap steps allowed under {inst.rule}")
+        if step[0] == "+":
+            v = step[1]
+            if not 0 <= v < g.n:
+                return VerifyResult(False, i, f"vertex {v} out of range")
+            if v in cur:
+                return VerifyResult(False, i, f"vertex {v} already in set")
+            if not brute_force_colorable(g, cur | {v}, inst.c):
+                return VerifyResult(False, i, f"set not {inst.c}-colorable after adding {v}")
+            cur.add(v)
+        elif step[0] == "-":
+            if step[1] not in cur:
+                return VerifyResult(False, i, f"vertex {step[1]} not in set")
+            cur.remove(step[1])
+            if len(cur) < inst.k:
+                return VerifyResult(False, i, "size below threshold")
+        else:
+            u, v = step[1], step[2]
+            if not 0 <= v < g.n:
+                return VerifyResult(False, i, f"vertex {v} out of range")
+            if u not in cur:
+                return VerifyResult(False, i, f"vertex {u} not in set")
+            if v in cur:
+                return VerifyResult(False, i, f"vertex {v} already in set")
+            if inst.rule == "ts" and not g.has_edge(u, v):
+                return VerifyResult(False, i, f"not an edge: {u} {v}")
+            cur.remove(u)
+            if not brute_force_colorable(g, cur | {v}, inst.c):
+                return VerifyResult(False, i,
+                                    f"set not {inst.c}-colorable after swap {u}>{v}")
+            cur.add(v)
+    if cur != inst.target:
+        return VerifyResult(False, len(seq.steps), "final set does not match S2")
+    return VerifyResult(True)
+
+
+def _corruptions(rng, inst, seq):
+    """The sequence itself, then damaged copies: a step dropped, repeated or
+    moved, a vertex replaced by one in -1..n, a step of the wrong kind for
+    the rule, and a start set that differs from S."""
+    steps, n = seq.steps, inst.n
+    yield seq
+    for _ in range(6):
+        damaged = list(steps)
+        how = rng.randrange(5)
+        if how < 3 and damaged:
+            i = rng.randrange(len(damaged))
+            if how == 0:
+                del damaged[i]
+            elif how == 1:
+                damaged.insert(i, damaged[i])
+            else:
+                damaged.insert(rng.randrange(len(damaged)), damaged.pop(i))
+        elif how == 3 and damaged:
+            i = rng.randrange(len(damaged))
+            step = list(damaged[i])
+            for j in rng.sample(range(1, len(step)), rng.randint(1, len(step) - 1)):
+                step[j] = rng.randint(-1, n)
+            damaged[i] = tuple(step)
+        else:
+            i = rng.randint(0, len(damaged))
+            u, v = rng.randint(-1, n), rng.randint(-1, n)
+            if inst.rule == "tar":
+                wrong = (">", u, v)
+            else:
+                wrong = (rng.choice("+-"), v)
+            damaged.insert(i, wrong)
+        yield ReconSequence(set(seq.start), damaged)
+    yield ReconSequence(set(seq.start) ^ {rng.randrange(n)}, list(steps))
+
+
+def test_verify_matches_brute_force_replay(tmp_path):
+    inst_path, seq_path = tmp_path / "inst.csr", tmp_path / "seq.txt"
+    rng = random.Random(1515)
+    makers = [(random_interval_instance, graph_from_model),
+              (random_split_instance, graph_from_split),
+              (random_edges_instance, lambda g: g)]
+    outcomes = set()
+    drawn = 0
+    while drawn < 150:
+        make, plain = rng.choice(makers)
+        rule = rng.choice(["tar", "tj", "ts"])
+        inst = make(rng, rng.randint(1, 8), rng.randint(1, 3), rule=rule)
+        if inst.start == inst.target:  # mostly both empty: nothing to replay
+            continue
+        drawn += 1
+        g = plain(inst.representation)
+        # the oracle's sequence as the CLI writes it, so the file format is replayed too
+        inst_path.write_text(render_instance(inst), encoding="utf-8")
+        if main(["oracle", str(inst_path), "--emit-sequence", "--out", str(seq_path)]) == 0:
+            seq = parse_sequence(seq_path.read_text(encoding="utf-8"))
+        else:
+            seq = ReconSequence(set(inst.start), [])
+        for case in _corruptions(rng, inst, seq):
+            want = _reference_replay(inst, case, g)
+            assert verify_sequence(inst, case) == want, (inst, case)
+            outcomes.add(re.sub(r"(?<![A-Z])-?\d+", "#", want.reason or "ok"))
+    assert outcomes == {
+        "ok", "start set does not match S", "final set does not match S2",
+        "swap step not allowed under tar", "only swap steps allowed under tj",
+        "only swap steps allowed under ts", "vertex # out of range", "vertex # not in set",
+        "vertex # already in set", "not an edge: # #", "size below threshold",
+        "set not #-colorable after adding #", "set not #-colorable after swap #>#",
+    }

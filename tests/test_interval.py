@@ -234,11 +234,10 @@ def test_symmetry_parity_and_lower_bound():
 
 def _locked_by_oracle(model, members, k, c, within):
     """Independent lockedness recomputation using plain colorability checks."""
-    from csrecon import is_colorable_clique_bound
 
     if len(members) != k:
         return False
-    return all(not is_colorable_clique_bound(model, set(members) | {v}, c)
+    return all(not make_tracker(model, set(members) | {v}, c).colorable()
                for v in set(within) - set(members))
 
 
@@ -276,10 +275,9 @@ def test_case_tags_match_brute_force_lockedness():
 
 
 def is_addable_to_both(model, c, start, target, v):
-    from csrecon import is_colorable_clique_bound
 
-    return (is_colorable_clique_bound(model, start | {v}, c) and
-            is_colorable_clique_bound(model, target | {v}, c))
+    return (make_tracker(model, start | {v}, c).colorable() and
+            make_tracker(model, target | {v}, c).colorable())
 
 
 def test_sequences_valid_and_tight_randomized():

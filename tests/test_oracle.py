@@ -37,14 +37,12 @@ def test_distance_examples(e1_model, e2_model):
 
 
 def test_sequences_come_back_valid(e4_model):
-    dist, seq = oracle_distance(e4_model, 1, {1}, {0, 2}, k=1, rule="tar",
-                                want_sequence=True)
+    dist, seq = oracle_distance(e4_model, 1, {1}, {0, 2}, k=1, rule="tar")
     assert dist == 5 and len(seq.steps) == 5
     inst = Instance(e4_model, "tar", 1, 1, {1}, {0, 2})
     assert verify_sequence(inst, seq).ok
 
-    dist, seq = oracle_distance(path_graph(4), 1, {0, 2}, {1, 3}, rule="tj",
-                                want_sequence=True)
+    dist, seq = oracle_distance(path_graph(4), 1, {0, 2}, {1, 3}, rule="tj")
     assert dist == len(seq.steps)
     inst = Instance(path_graph(4), "tj", 1, 0, {0, 2}, {1, 3})
     assert verify_sequence(inst, seq).ok
@@ -54,7 +52,7 @@ def test_ts_respects_edges():
     g = path_graph(3)
     # sliding 0>2 skips the middle: under ts the only way from {0} to {2} is via 1,
     # which is blocked at c=1 size 1 by adjacency... swaps 0>1 then 1>2 work
-    dist, seq = oracle_distance(g, 1, {0}, {2}, rule="ts", want_sequence=True)
+    dist, seq = oracle_distance(g, 1, {0}, {2}, rule="ts")
     assert dist == 2
     inst = Instance(g, "ts", 1, 0, {0}, {2})
     assert verify_sequence(inst, seq).ok
@@ -125,8 +123,7 @@ def test_oracle_sequences_replay():
                     continue
                 start, target = set(rng.choice(sets)), set(rng.choice(sets))
                 k = rng.randint(0, min(len(start), len(target))) if rule == "tar" else 0
-                dist, seq = oracle_distance(rep, c, start, target, k=k, rule=rule,
-                                            want_sequence=True)
+                dist, seq = oracle_distance(rep, c, start, target, k=k, rule=rule)
                 if dist == math.inf:
                     assert seq is None
                     continue
@@ -199,8 +196,7 @@ def test_distance_search_stops_at_the_target(monkeypatch):
         return neighbours(space, i)
 
     monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
-    dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar",
-                                want_sequence=True)
+    dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar")
     assert dist == 1 and seq.steps == [("+", 1)]
     assert len(expanded) <= 1
 

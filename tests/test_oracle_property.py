@@ -43,7 +43,7 @@ def _edge_list_cases(draw):
 @hypothesis.given(_edge_list_cases())
 def test_oracle_sequences_replay_at_the_reported_length(inst):
     dist, seq = oracle_distance(inst.representation, inst.c, inst.start, inst.target,
-                                k=inst.k, rule=inst.rule, want_sequence=True)
+                                k=inst.k, rule=inst.rule)
     if dist == math.inf:
         assert seq is None
         return

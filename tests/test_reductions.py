@@ -10,12 +10,12 @@ from csrecon import (
     Graph,
     InvariantError,
     check_cocomp_order,
-    is_colorable_clique_bound,
     is_colorable_exact,
     isr_to_split_csr,
     oct_to_colorable_set,
     spr_to_cocomp_csr,
 )
+from csrecon.core import make_tracker
 
 from conftest import (
     all_graphs,
@@ -110,7 +110,7 @@ def test_isr_k3_example():
     assert out.phi_start == set(range(6)) - {0}
     assert len(out.phi_start) == 5
     assert is_colorable_exact(out.model.graph, out.phi_start, out.c)
-    assert is_colorable_clique_bound(out.model, out.phi_start, out.c)
+    assert make_tracker(out.model, out.phi_start, out.c).colorable()
 
 
 def test_isr_identity_maps_identically():
@@ -156,7 +156,7 @@ def _one_step_relations_isr(g, size):
                 if v in nbrs[u]:
                     rel["ts"].add((i, j))
                 mid = pa & pb
-                if len(mid) >= k - 1 and is_colorable_clique_bound(model, mid, c):
+                if len(mid) >= k - 1 and make_tracker(model, mid, c).colorable():
                     rel["tar2"].add((i, j))
     return rel
 
@@ -187,7 +187,7 @@ def _claim_bijection_isr(g, size):
     count = 0
     for removed in combinations(range(total), total - out.k):
         s = set(range(total)) - set(removed)
-        if not is_colorable_clique_bound(model, s, c):
+        if not make_tracker(model, s, c).colorable():
             continue
         count += 1
         assert edge_vertices <= s

@@ -14,7 +14,6 @@ from csrecon import (
     ResourceLimitError,
     SplitModel,
     build_meta_graph,
-    is_colorable_clique_bound,
     is_colorable_exact,
     split_tar_reachable,
     split_tar_witness,
@@ -22,6 +21,7 @@ from csrecon import (
     verify_sequence,
 )
 from csrecon.cli import main
+from csrecon.core import make_tracker
 from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
 from csrecon.split_recon import _MetaRule
@@ -112,7 +112,7 @@ def test_t_sets_colorable_and_contain_sources(pqr_model):
         c = rng.choice([1, 2, 3])
         meta = build_meta_graph(model, c, 0)
         for ts in meta.tsets:
-            assert is_colorable_clique_bound(model, ts, c)
+            assert make_tracker(model, ts, c).colorable()
         s = greedy_set(model, c, rng, target=rng.randint(0, model.n))
         assert s <= t_set(model, s & model.clique_part, c)
 
