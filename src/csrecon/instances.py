@@ -289,12 +289,12 @@ def parse_sequence(text):
     start = set(_vertex_list(val.strip(), lineno))
     steps = []
     for lineno, line in entries[1:]:
-        if line[0] in "+-":
-            steps.append((line[0], _int(line[1:].strip(), lineno, "vertex")))
-        elif ">" in line:
+        if ">" in line:  # before the sign test, since a swap may read "-1>2"
             u, _, v = line.partition(">")
             steps.append((">", _int(u.strip(), lineno, "vertex"),
                           _int(v.strip(), lineno, "vertex")))
+        elif line[0] in "+-":
+            steps.append((line[0], _int(line[1:].strip(), lineno, "vertex")))
         else:
             raise FormatError(f"bad step '{line}'", lineno)
     return ReconSequence(start, steps)

@@ -2,18 +2,19 @@
 
 Every colorable set can first be inflated to a canonical maximal extension
 that depends only on its clique-side part, so reachability collapses to a
-path search on the graph whose nodes are small clique-side subsets and whose
-edges join C to C+v exactly when the larger extension has a vertex to spare
-above the size floor.
+path on the graph whose nodes are small clique-side subsets and whose edges
+join C to C+v exactly when the larger extension has a vertex to spare above
+the size floor k.
 
-Extension sizes are arithmetic on bitmasks: each clique vertex x carries an
-int holding the independent vertices adjacent to x, so
+Each clique vertex x carries an int mask of its independent neighbours, so
 |T(C)| = |C| + |I| below the budget and |C| + |I| - popcount(AND of the
-masks of C) at it.  Reachability and witnesses run one breadth-first search
-from the source node that generates neighbours on demand and stops as soon
-as the target node is discovered; extensions are materialised only along
-the witness path.  ``build_meta_graph`` materialises the whole graph on the
-same rules, for inspection only.
+masks of C) at it.  Below the budget, then, the nodes are the subsets on
+levels L = max(0, k - |I|) up to c - 1, one component whenever it spans two
+levels, so a meta path needs no search except at the tight floor
+k = |I| + c - 1.  There one breadth-first search generates neighbours on
+demand and stops as soon as the target node is discovered.  Extensions are
+materialised only along the witness path; ``build_meta_graph`` materialises
+the whole graph on the same rules, for inspection only.
 """
 from __future__ import annotations
 
@@ -141,14 +142,37 @@ def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
     return MetaGraph(nodes, [t_set(model, combo, c) for combo in nodes], adj, index)
 
 
-def _meta_path(model, c, k, start, target):
-    """Meta-graph nodes from S's clique part to S2's, breadth first, or None."""
+def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
+    """A shortest meta path from S's clique part to S2's, or None.
+
+    Off the tight floor the path sheds S-side vertices in ascending order,
+    first swapping in the next S2-side one whenever the level is L, then adds
+    the rest.  Both ends are nodes: the extension of S's clique part holds S.
+    """
     src = tuple(sorted(start & model.clique_part))
     dst = tuple(sorted(target & model.clique_part))
     if src == dst:
         return [src]
-    parent = bfs(src, _MetaRule(model, c, k).neighbours, dst)
-    return bfs_path(parent, dst) if dst in parent else None
+    rule = _MetaRule(model, c, k)
+    low = max(0, k - rule.n_ind)
+    if 0 < low == c - 1 < len(rule.kside):
+        _check_budget(c, max_c)
+        parent = bfs(src, rule.neighbours, dst)
+        return bfs_path(parent, dst) if dst in parent else None
+    if any(len(end) == c and rule.node_size(end) <= k for end in (src, dst)):
+        return None
+    cur, path = set(src), [src]
+    adds = iter(sorted(set(dst) - cur))
+    for v in sorted(cur - set(dst)):
+        if len(cur) == low:
+            cur.add(next(adds))
+            path.append(tuple(sorted(cur)))
+        cur.remove(v)
+        path.append(tuple(sorted(cur)))
+    for v in adds:
+        cur.add(v)
+        path.append(tuple(sorted(cur)))
+    return path
 
 
 def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
@@ -156,10 +180,7 @@ def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     start = set(start)
     target = set(target)
     check_sets(model, c, start, target, k)
-    if start == target:
-        return True
-    _check_budget(c, max_c)
-    return _meta_path(model, c, k, start, target) is not None
+    return _meta_path(model, c, k, start, target, max_c) is not None
 
 
 def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
@@ -174,8 +195,7 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     check_sets(model, c, start, target, k)
     if start == target:
         return ReconSequence(set(start), [])
-    _check_budget(c, max_c)
-    path = _meta_path(model, c, k, start, target)
+    path = _meta_path(model, c, k, start, target, max_c)
     if path is None:
         return None
     steps = []

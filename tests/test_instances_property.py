@@ -21,9 +21,8 @@ from csrecon.generators import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-# vertices are nonnegative: a swap with a negative u renders as "-1>2",
-# which the parser reads as a removal step and refuses
-_vertices = st.integers(0, 30)
+# negative vertices included: a swap with a negative u renders as "-1>2"
+_vertices = st.integers(-30, 30)
 _steps = st.one_of(
     st.tuples(st.sampled_from("+-"), _vertices),
     st.tuples(st.just(">"), _vertices, _vertices),

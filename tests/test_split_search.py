@@ -1,4 +1,5 @@
-"""The lazy meta-graph search: its order, its unreachable branch, and oracle agreement."""
+"""The meta path: level arithmetic against the search, the tight-floor search's
+order, its unreachable branch, and oracle agreement."""
 from __future__ import annotations
 
 import math
@@ -7,13 +8,20 @@ from collections import deque
 from itertools import combinations
 
 from csrecon import (
+    Graph,
+    Instance,
+    SplitModel,
     build_meta_graph,
     isr_to_split_csr,
     split_tar_reachable,
+    split_tar_witness,
+    verify_sequence,
 )
+from csrecon import split_recon
+from csrecon.core import bfs, bfs_path
 from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
-from csrecon.split_recon import _meta_path
+from csrecon.split_recon import _meta_path, _MetaRule
 
 from conftest import all_graphs, cycle_graph
 
@@ -40,7 +48,20 @@ def _materialised_path(model, c, k, start, target):
     return None
 
 
+def _tight(model, c, k):
+    """The floor k = |I| + c - 1 with c >= 2 and |K| >= c, the only one searched."""
+    return c >= 2 and k == model.n - len(model.clique_part) + c - 1 \
+        and len(model.clique_part) >= c
+
+
+def _is_walk(meta, path):
+    steps = zip(path, path[1:])
+    return all(meta.index[b] in meta.adj[meta.index[a]] for a, b in steps)
+
+
 def test_lazy_search_follows_materialised_order():
+    # at the tight floor the search keeps the materialised graph's order byte
+    # for byte; elsewhere the arithmetic path is a shortest walk in that graph
     rng = random.Random(4242)
     cases = 0
     unreachable = 0
@@ -52,13 +73,90 @@ def test_lazy_search_follows_materialised_order():
         target = greedy_set(model, c, rng, target=rng.randint(0, n))
         for k in range(min(len(start), len(target)) + 1):
             want = _materialised_path(model, c, k, start, target)
-            assert _meta_path(model, c, k, start, target) == want, (
-                sorted(model.clique_part), model.graph.adjacency, c, start, target, k)
+            got = _meta_path(model, c, k, start, target)
+            case = (sorted(model.clique_part), model.graph.adjacency, c, start, target, k)
+            if _tight(model, c, k):
+                assert got == want, case
+            elif want is None:
+                assert got is None, case
+            else:
+                assert got is not None and len(got) == len(want), case
+                assert got[0] == want[0] and got[-1] == want[-1], case
+                assert _is_walk(build_meta_graph(model, c, k), got), case
             if start != target:
                 assert split_tar_reachable(model, c, start, target, k) == (want is not None)
             cases += 1
             unreachable += want is None
     assert unreachable > 0
+
+
+def _arithmetic_cases(count, seed):
+    """Seeded (model, c, k, S, S2) draws with n <= 12 and c <= 5, every floor up to min |S|."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 12)
+        c = rng.randint(1, 5)
+        model = random_split_model(rng, n, p=rng.choice([0.2, 0.5, 0.8]))
+        start = greedy_set(model, c, rng, target=rng.randint(0, n))
+        target = greedy_set(model, c, rng, target=rng.randint(0, n))
+        cases.extend((model, c, k, start, target)
+                     for k in range(min(len(start), len(target)) + 1))
+    return cases
+
+
+def test_level_arithmetic_matches_search():
+    unreachable = tight = 0
+    for model, c, k, start, target in _arithmetic_cases(20_000, 1605):
+        src = tuple(sorted(start & model.clique_part))
+        dst = tuple(sorted(target & model.clique_part))
+        rule = _MetaRule(model, c, k)
+        parent = bfs(src, rule.neighbours, dst)
+        want = bfs_path(parent, dst) if dst in parent else None
+        got = _meta_path(model, c, k, start, target, max_c=5)
+        case = (sorted(model.clique_part), model.graph.adjacency, c, start, target, k)
+        assert (got is None) == (want is None), case
+        if want is not None:
+            assert len(got) == len(want) and got[0] == src and got[-1] == dst, case
+            assert all(b in set(rule.neighbours(a)) for a, b in zip(got, got[1:])), case
+        if start != target:
+            assert split_tar_reachable(model, c, start, target, k, max_c=5) == (
+                want is not None), case
+        unreachable += want is None
+        tight += _tight(model, c, k)
+    assert unreachable > 0 and tight > 0
+
+
+def _large_split(rng, size_k, n, p=0.5):
+    kpart = range(size_k)
+    edges = list(combinations(kpart, 2))
+    edges.extend((u, v) for u in range(size_k, n) for v in kpart if rng.random() < p)
+    return SplitModel(Graph(n, edges), set(kpart))
+
+
+def test_search_runs_only_at_the_tight_floor(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(split_recon, "bfs", counted)
+    for model, c, k, start, target in _arithmetic_cases(20_000, 1605):
+        before = len(calls)
+        _meta_path(model, c, k, start, target, max_c=5)
+        assert len(calls) == before or _tight(model, c, k), (c, k, start, target)
+    assert calls
+    calls.clear()
+    rng = random.Random(400)
+    model = _large_split(rng, 400, 800)
+    start, target = greedy_set(model, 3, rng), greedy_set(model, 3, rng)
+    assert start & model.clique_part != target & model.clique_part
+    inst = Instance(model, "tar", 3, 0, start, target)
+    assert split_tar_reachable(model, 3, start, target, 0)
+    seq = split_tar_witness(model, 3, start, target, 0)
+    assert verify_sequence(inst, seq).ok
+    assert calls == []
 
 
 def _isr_pairs():

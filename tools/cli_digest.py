@@ -46,10 +46,12 @@ benchmark's ``oracle_small`` workload (random graphs with edge probability
 A fifth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, also lifted past the depth
-the oracle's walk can nest, ``--max-states``, ``--max-c``, the
+the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
+split engine's tight floor, the
 exact-coloring guard, ``--emit-sequence`` without ``--out``, split tj
 emission, ``oracle --report --emit-sequence``, ``reduce --kind oct
---rule`` and ``gen --p`` outside [0, 1]).
+--rule`` and ``gen --p`` outside [0, 1]).  Its one sequence, a split
+witness off the tight floor, is replayed with ``verify``.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -333,6 +335,12 @@ def malformed_corpus():
         (["oracle", "inst", "--max-n", "2000"], {"inst": deep}),
         oracle("--max-states", "1"),
         solve(SPLIT, "--max-c", "0"),
+        # the tight floor k = |I| + c - 1, the one floor the split engine searches
+        solve(_sub(SPLIT, "c: 1", "c: 2", "k: 0", "k: 2", "S: 0", "S: 0 2", "S2: 2", "S2: 1 2"),
+              "--max-c", "1"),
+        # off it the meta path is arithmetic; the witness is replayed with verify
+        solve(_sub(SPLIT, "c: 1", "c: 2", "k: 0", "k: 1", "S2: 2", "S2: 1 2"),
+              "--emit-sequence", "--out", "OUT"),
         solve(_sub(EDGES, "n: 3", "n: 65", "2\n0 1\n1 2\n", "0\n", "S: 0", f"S: {many}")),
         solve(EDGES, "--emit-sequence"),
         oracle("--emit-sequence"),
@@ -430,7 +438,9 @@ def run_corpus(main, seeds, tmp):
         paths = {name: os.path.join(tmp, f"bad-{i}.{name}") for name in (*files, "OUT")}
         for name, text in files.items():
             write(paths[name], text)
-        run(*(paths.get(token, token) for token in argv), writes=paths["OUT"])
+        seq = run(*(paths.get(token, token) for token in argv), writes=paths["OUT"])
+        if seq is not None and argv[0] == "solve":
+            run("verify", paths["inst"], seq)
     return count, records
 
 
