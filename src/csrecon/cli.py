@@ -29,6 +29,7 @@ from .instances import (
     _int,
     _vertex_list,
 )
+# tj_distance is not called here, but stays bound for callers that wrap this module's names
 from .interval_recon import shortest_tar_sequence, tar_distance, tj_distance, tj_sequence
 from .oracle import (
     DEFAULT_MAX_N,
@@ -87,24 +88,21 @@ def _cmd_solve(args, split=True):
     if emit and on_split and inst.rule == "tj":
         raise InvariantError("sequence emission is not supported for split tj instances")
     _require_out(args, emit)
-    if isinstance(rep, IntervalModel) and inst.rule == "tar":
-        verdict = tar_distance(rep, inst.c, inst.start, inst.target, inst.k)
+    # tj at |S| is tar at floor |S|-1 (Kamiński, Medvedev and Milanič, TCS 439, 2012)
+    floor = inst.k if inst.rule == "tar" else max(len(inst.start) - 1, 0)
+    if isinstance(rep, IntervalModel) and inst.rule in ("tar", "tj"):
+        verdict = tar_distance(rep, inst.c, inst.start, inst.target, floor, inst.take_trackers())
         if verdict.distance == math.inf:
             print("unreachable (locked)")
             return EXIT_UNREACHABLE
-        print(verdict.distance)
-        if emit:
+        print(verdict.distance if inst.rule == "tar" else verdict.distance // 2)
+        if emit and inst.rule == "tar":
             _emit_sequence(args, shortest_tar_sequence(
-                rep, inst.c, inst.start, inst.target, inst.k, verdict=verdict))
-        return EXIT_OK
-    if isinstance(rep, IntervalModel) and inst.rule == "tj":
-        dist = tj_distance(rep, inst.c, inst.start, inst.target)
-        print(dist)
-        if emit:
-            _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target))
+                rep, inst.c, inst.start, inst.target, floor, verdict=verdict))
+        elif emit:
+            _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target, verdict))
         return EXIT_OK
     if on_split:
-        floor = inst.k if inst.rule == "tar" else max(len(inst.start) - 1, 0)
         if emit:
             seq = split_tar_witness(rep, inst.c, inst.start, inst.target, floor,
                                     max_c=args.max_c)

@@ -32,6 +32,7 @@ class Instance:
     target: set
     # raw interval input kept so rendering reproduces the file body verbatim
     endpoints: list | None = None
+    trackers: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -44,6 +45,11 @@ class Instance:
         if isinstance(self.representation, SplitModel):
             return "split"
         return "edges"
+
+    def take_trackers(self):
+        """The (S, S2) trackers parse_instance built, once (a replay moves them); else None."""
+        trackers, self.trackers = self.trackers, None
+        return trackers
 
 
 @dataclass
@@ -66,11 +72,11 @@ class VerifyResult:
 
 
 def check_instance(inst):
-    """Raise InvariantError naming the first violated instance invariant."""
+    """Raise InvariantError naming the first violated invariant; else return the S, S2 trackers."""
     if inst.rule not in RULES:
         raise InvariantError(f"unknown rule '{inst.rule}'")
-    check_sets(inst.representation, inst.c, inst.start, inst.target, inst.k,
-               same_size=inst.rule in ("tj", "ts"))
+    return check_sets(inst.representation, inst.c, inst.start, inst.target, inst.k,
+                      same_size=inst.rule in ("tj", "ts"))
 
 
 def _entries(text):
@@ -108,18 +114,20 @@ def _int(val, lineno, what):
 
 
 def _vertex_list(val, lineno):
-    out = []
-    for tok in val.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"bad vertex '{tok}'", lineno) from None
-    return out
+    tokens = val.split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # only to name the first bad one
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(f"bad vertex '{tok}'", lineno) from None
 
 
 def _body_lines(lines, count, what, last):
-    """The next ``count`` body entries of ``lines``; ``last`` is the text's last line."""
-    chunk = list(islice(lines, count))
+    """The next ``count`` entries of ``lines``; ``last``, the text's last line, bounds them."""
+    chunk = list(islice(lines, min(count, last)))
     if len(chunk) < count:
         raise FormatError(f"body ended early while reading {what}", last)
     return chunk
@@ -235,7 +243,7 @@ def parse_instance(text):
     start = set(_vertex_list(*fields["S"]))
     target = set(_vertex_list(*fields["S2"]))
     inst = Instance(representation, rule, c, k, start, target, endpoints=endpoints)
-    check_instance(inst)
+    inst.trackers = check_instance(inst)
     return inst
 
 
@@ -312,7 +320,7 @@ def verify_sequence(inst, seq):
     if set(seq.start) != set(inst.start):
         return VerifyResult(False, None, "start set does not match S")
     n, c, k, rep = inst.n, inst.c, inst.k, inst.representation
-    tracker = make_tracker(rep, seq.start, c)
+    tracker = (inst.take_trackers() or [make_tracker(rep, seq.start, c)])[0]
     members = tracker.members  # kept in step by the tracker's add and remove
     tar, ts = inst.rule == "tar", inst.rule == "ts"
     for i, step in enumerate(seq.steps):

@@ -38,11 +38,12 @@ class DistanceVerdict:
     witnesses: tuple = (None, None)
 
 
-def tar_distance(model, c, start, target, k):
-    """Exact TAR(k) distance, with the structural case tag and witnesses."""
+def tar_distance(model, c, start, target, k, trackers=None):
+    """Exact TAR(k) distance, with the structural case tag and witnesses; ``trackers``,
+    the (S, S2) trackers of an earlier validation, spare checking the sets again."""
     start = set(start)
     target = set(target)
-    t_a, t_b = check_sets(model, c, start, target, k)
+    t_a, t_b = trackers or check_sets(model, c, start, target, k)
     if start == target:
         return DistanceVerdict(IDENTICAL, 0)
     # a set above the floor can always move; at it, the smallest extension in G
@@ -186,17 +187,17 @@ def tj_distance(model, c, start, target):
     return tar_distance(model, c, start, target, max(len(start) - 1, 0)).distance // 2
 
 
-def tj_sequence(model, c, start, target):
+def tj_sequence(model, c, start, target, verdict=None):
     """A shortest swap sequence; one always exists, as ``tj_distance`` says.
 
-    Built by pairing the TAR steps at threshold |S|-1, which alternate
-    strictly remove/add there; a different pattern is an internal error.
+    Built by pairing the TAR steps at threshold |S|-1 (from ``verdict`` when given),
+    which alternate strictly remove/add there; a different pattern is an internal error.
     """
     start = set(start)
     target = set(target)
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
-    seq = shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0))
+    seq = shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0), verdict=verdict)
     if len(seq.steps) % 2:
         raise RuntimeError("odd step count while pairing swaps")
     steps = []

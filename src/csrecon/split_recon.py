@@ -44,6 +44,16 @@ def t_set(model, base, c):
     return base | fits
 
 
+class _Masks(dict):
+    """Clique vertex -> int mask of its independent neighbours, built on first lookup."""
+
+    def __init__(self, model):
+        self.nbrs, self.kpart = model.graph.adjacency, model.clique_part
+
+    def __missing__(self, x):
+        return self.setdefault(x, sum(1 << u for u in self.nbrs[x] - self.kpart))
+
+
 class _MetaRule:
     """Node sizes and neighbours of the meta-graph for one (model, c, k).
 
@@ -52,12 +62,10 @@ class _MetaRule:
     """
 
     def __init__(self, model, c, k):
-        kpart = model.clique_part
-        nbrs = model.graph.adjacency
-        self.kside = sorted(kpart)
-        self.masks = {x: sum(1 << u for u in nbrs[x] - kpart) for x in self.kside}
+        self.kside = sorted(model.clique_part)
+        self.masks = _Masks(model)
         self.all_ind = (1 << model.n) - 1 - sum(1 << x for x in self.kside)
-        self.n_ind = model.n - len(kpart)
+        self.n_ind = model.n - len(self.kside)
         self.c = c
         self.k = k
 

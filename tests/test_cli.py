@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -10,8 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from csrecon import parse_instance, parse_sequence, verify_sequence
+from csrecon import (
+    Instance,
+    core,
+    model_from_intervals,
+    parse_instance,
+    parse_sequence,
+    render_instance,
+    verify_sequence,
+)
 from csrecon.cli import build_parser, main
+from csrecon.generators import greedy_set, random_endpoints
 
 E1 = """\
 format: csr/1
@@ -107,6 +117,52 @@ def test_solve_malformed(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, what", [
+    (E1.replace("n: 3", "n: 100000000000000000000"), "interval endpoints"),
+    ("format: csr/1\nrule: tar\nc: 1\nk: 0\nrepr: edges\nn: 2\nbody:\n"
+     "100000000000000000000\n0 1\nS: 0\nS2: 1\n", "edges"),
+], ids=["intervals-n", "edge-count"])
+def test_oversized_body_counts_end_early(tmp_path, capsys, text, what):
+    # counts past sys.maxsize, which islice refuses, read like any count the body falls short of
+    assert main(["solve", _write(tmp_path, "big.csr", text)]) == 2
+    assert f"body ended early while reading {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["tar-k0", "tj", "tar-locked"])
+def test_interval_solve_and_verify_validate_each_set_once(tmp_path, capsys, monkeypatch, kind):
+    # parsing checks S and S2 with one clique-count pass each; the engine and the
+    # replay take the trackers that check built, and tj's one verdict gives both answers
+    rng = random.Random(kind)
+    endpoints = random_endpoints(rng, 300, coord_max=600, max_len=6)
+    model = model_from_intervals(endpoints)
+    start, target = greedy_set(model, 2, rng), greedy_set(model, 2, rng)
+    rule, k = "tar", 0
+    if kind == "tj":
+        size = min(len(start), len(target))
+        start, target = set(sorted(start)[:size]), set(sorted(target)[:size])
+        rule = "tj"
+    elif kind == "tar-locked":
+        k = min(len(start), len(target))  # both maximal, so the smaller is locked in G
+    path = _write(tmp_path, "inst.csr", render_instance(
+        Instance(model, rule, 2, k, start, target, endpoints=endpoints)))
+    seq_path = str(tmp_path / "inst.seq")
+    passes = []
+    counts = core.interval_clique_counts
+    monkeypatch.setattr(core, "interval_clique_counts",
+                        lambda *args: passes.append(1) or counts(*args))
+    code = main(["solve", path, "--emit-sequence", "--out", seq_path])
+    out = capsys.readouterr().out.strip()
+    assert len(passes) == 2
+    if kind == "tar-locked":
+        assert (code, out) == (1, "unreachable (locked)")
+        return
+    assert code == 0 and int(out) == len(start ^ target) // (2 if rule == "tj" else 1)
+    passes.clear()
+    assert main(["verify", path, seq_path]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    assert len(passes) == 2
 
 
 def test_solve_split(tmp_path, capsys):

@@ -16,6 +16,7 @@ from csrecon import (
     parse_sequence,
     render_instance,
     render_sequence,
+    tar_distance,
     verify_sequence,
 )
 from csrecon.generators import (
@@ -225,6 +226,22 @@ def test_verify_e1_sequence_ok():
     inst = _e1_instance()
     seq = ReconSequence({0}, [("+", 2), ("-", 0)])
     assert verify_sequence(inst, seq).ok
+
+
+def test_a_parsed_instance_answers_alike_on_repeated_use():
+    # parsing hands its trackers over once, and a replay moves the S tracker it
+    # takes, so each later use must build its own and answer the same
+    seq = ReconSequence({0}, [("+", 2), ("-", 0)])
+    inst = _e1_instance()
+    assert verify_sequence(inst, seq) == verify_sequence(inst, seq) == VerifyResult(True)
+    args = (inst.representation, inst.c, inst.start, inst.target, inst.k)
+    want = tar_distance(*args)
+    assert want.distance == 2
+    assert tar_distance(*args, inst.take_trackers()) == want
+    fresh = _e1_instance()
+    assert tar_distance(*args, fresh.take_trackers()) == want
+    assert verify_sequence(fresh, seq) == VerifyResult(True)
+    assert fresh.take_trackers() is None
 
 
 def test_verify_threshold_violation():

@@ -328,6 +328,28 @@ def test_locked_union_cases_match_oracle():
     assert {"case2", "case3a", "case3b"} <= set(tags)
 
 
+def test_tar_distance_never_falls_as_the_floor_rises():
+    # a TAR(k+1) sequence is also a TAR(k) one, so the distance is monotone in k;
+    # sets below maximal size, at every floor up to the smaller, reach every case
+    rng = random.Random(909)
+    cases = set()
+    for _ in range(1000):
+        n = rng.randint(1, 30)
+        c = rng.choice([1, 2])
+        endpoints = random_endpoints(rng, n, coord_max=rng.randint(2, n // 2 + 2),
+                                     max_len=rng.choice([None, 1, 3]))
+        model = model_from_intervals(endpoints)
+        full = len(greedy_set(model, c, rng))
+        start = greedy_set(model, c, rng, target=rng.randint(0, full))
+        target = greedy_set(model, c, rng, target=rng.randint(0, full))
+        verdicts = [tar_distance(model, c, start, target, k)
+                    for k in range(min(len(start), len(target)) + 1)]
+        distances = [v.distance for v in verdicts]
+        assert distances == sorted(distances), (c, endpoints, start, target)
+        cases.update(v.case for v in verdicts)
+    assert cases == {"identical", "case1", "case2", "case3a", "case3b", "locked-in-G"}
+
+
 def test_tar_tj_relation_randomized():
     rng = random.Random(808)
     for _ in range(150):

@@ -148,6 +148,14 @@ def test_search_runs_only_at_the_tight_floor(monkeypatch):
         assert len(calls) == before or _tight(model, c, k), (c, k, start, target)
     assert calls
     calls.clear()
+    rules = []
+
+    class Recorded(_MetaRule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rules.append(self)
+
+    monkeypatch.setattr(split_recon, "_MetaRule", Recorded)
     rng = random.Random(400)
     model = _large_split(rng, 400, 800)
     start, target = greedy_set(model, 3, rng), greedy_set(model, 3, rng)
@@ -157,6 +165,8 @@ def test_search_runs_only_at_the_tight_floor(monkeypatch):
     seq = split_tar_witness(model, 3, start, target, 0)
     assert verify_sequence(inst, seq).ok
     assert calls == []
+    # off the tight floor only the masks of the ends' at most 2c clique vertices are built
+    assert len(rules) == 2 and all(0 < len(rule.masks) <= 6 for rule in rules)
 
 
 def _isr_pairs():

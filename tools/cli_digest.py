@@ -350,6 +350,9 @@ def malformed_corpus():
          {"src": "c: 2\nk: 0\n" + SOURCE}),
         (["gen", "--repr", "edges", "--n", "4", "--c", "1", "--seed", "1", "--p", "2",
           "--out", "OUT"], {}),
+        # body counts past sys.maxsize (last, so that the rows above keep their file names)
+        solve(_sub(EDGES, "body:\n2", "body:\n100000000000000000000")),
+        solve(_sub(INTERVALS, "n: 3", "n: 100000000000000000000")),
     ]
 
 
