@@ -28,6 +28,7 @@ from .instances import (
     parse_sequence,
     render_instance,
     render_sequence,
+    tar_to_tj,
     verify_sequence,
 )
 from .interval_recon import (

@@ -25,6 +25,7 @@ from .instances import (
     parse_sequence,
     render_instance,
     render_sequence,
+    tar_to_tj,
     verify_sequence,
     _int,
     _vertex_list,
@@ -85,8 +86,6 @@ def _cmd_solve(args, split=True):
     rep = inst.representation
     emit = getattr(args, "emit_sequence", False)
     on_split = split and isinstance(rep, SplitModel) and inst.rule in ("tar", "tj")
-    if emit and on_split and inst.rule == "tj":
-        raise InvariantError("sequence emission is not supported for split tj instances")
     _require_out(args, emit)
     # tj at |S| is tar at floor |S|-1 (Kamiński, Medvedev and Milanič, TCS 439, 2012)
     floor = inst.k if inst.rule == "tar" else max(len(inst.start) - 1, 0)
@@ -103,17 +102,13 @@ def _cmd_solve(args, split=True):
             _emit_sequence(args, tj_sequence(rep, inst.c, inst.start, inst.target, verdict))
         return EXIT_OK
     if on_split:
-        if emit:
-            seq = split_tar_witness(rep, inst.c, inst.start, inst.target, floor,
-                                    max_c=args.max_c)
-            reached = seq is not None
-        else:
-            reached = split_tar_reachable(rep, inst.c, inst.start, inst.target, floor,
-                                          max_c=args.max_c)
-        print("reachable" if reached else "unreachable")
-        if emit and reached:
-            _emit_sequence(args, seq)
-        return EXIT_OK if reached else EXIT_UNREACHABLE
+        # a witness, or the bare verdict: None or False when unreachable
+        found = (split_tar_witness if emit else split_tar_reachable)(
+            rep, inst.c, inst.start, inst.target, floor, max_c=args.max_c)
+        print("reachable" if found else "unreachable")
+        if emit and found:
+            _emit_sequence(args, found if inst.rule == "tar" else tar_to_tj(found))
+        return EXIT_OK if found else EXIT_UNREACHABLE
     # token sliding and plain edge lists go to the guarded oracle
     return _solve_oracle(inst, args, emit)
 

@@ -64,6 +64,28 @@ class ReconSequence:
     steps: list = field(default_factory=list)
 
 
+def tar_to_tj(seq):
+    """Swaps for a TAR sequence at floor |S|-1 (Kamiński, Medvedev and Milanič, TCS 439, 2012).
+
+    |S| members of each TAR set are kept, colourable as its subset; the rest are spare.
+    A removed kept member swaps for the latest spare one, else for the next addition."""
+    spare, gone, steps = {}, None, []  # a dict, so the latest spare member pops in O(1)
+    for op, v in seq.steps:
+        if op == "+" and gone is None:
+            spare[v] = None
+        elif op == "+":
+            if v != gone:
+                steps.append((">", gone, v))
+            gone = None
+        elif v in spare:
+            del spare[v]
+        elif spare:
+            steps.append((">", v, spare.popitem()[0]))
+        else:
+            gone = v
+    return ReconSequence(set(seq.start), steps)
+
+
 @dataclass
 class VerifyResult:
     ok: bool

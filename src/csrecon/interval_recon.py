@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import InvariantError, check_sets, make_tracker
-from .instances import ReconSequence
+from .instances import ReconSequence, tar_to_tj
 
 IDENTICAL = "identical"
 CASE1 = "case1"
@@ -188,22 +188,11 @@ def tj_distance(model, c, start, target):
 
 
 def tj_sequence(model, c, start, target, verdict=None):
-    """A shortest swap sequence; one always exists, as ``tj_distance`` says.
-
-    Built by pairing the TAR steps at threshold |S|-1 (from ``verdict`` when given),
-    which alternate strictly remove/add there; a different pattern is an internal error.
-    """
+    """A shortest swap sequence, always found: the shortest TAR sequence at floor
+    |S|-1 (from ``verdict`` when given), converted by ``tar_to_tj``."""
     start = set(start)
     target = set(target)
     if len(start) != len(target):
         raise InvariantError("size mismatch: |S| must equal |S2|")
-    seq = shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0), verdict=verdict)
-    if len(seq.steps) % 2:
-        raise RuntimeError("odd step count while pairing swaps")
-    steps = []
-    for i in range(0, len(seq.steps), 2):
-        rem, add = seq.steps[i], seq.steps[i + 1]
-        if rem[0] != "-" or add[0] != "+":
-            raise RuntimeError("steps do not alternate remove/add")
-        steps.append((">", rem[1], add[1]))
-    return ReconSequence(set(start), steps)
+    return tar_to_tj(shortest_tar_sequence(model, c, start, target, max(len(start) - 1, 0),
+                                           verdict=verdict))

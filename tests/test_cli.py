@@ -176,16 +176,19 @@ def test_solve_split(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["0 3", "1 2"])
-def test_split_tj_refuses_sequence_emission(tmp_path, capsys, target):
+def test_split_tj_emits_a_sequence_that_verifies(tmp_path, capsys, target):
+    # the split witness converted to swaps; S2 = S as well as S2 != S
     text = SPLIT_REACHABLE.replace("rule: tar", "rule: tj").replace("S2: 1 2", f"S2: {target}")
     inst = _write(tmp_path, "s.csr", text)
-    seq_path = tmp_path / "s.seq"
-    for out in (["--out", str(seq_path)], []):
-        code = main(["solve", inst, "--emit-sequence", *out])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "sequence emission is not supported for split tj instances" in captured.err
-    assert not seq_path.exists()
+    seq_path = str(tmp_path / "s.seq")
+    code = main(["solve", inst, "--emit-sequence", "--out", seq_path])
+    assert code == 0 and capsys.readouterr().out.strip() == "reachable"
+    assert main(["verify", inst, seq_path]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    code = main(["solve", inst, "--emit-sequence"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--emit-sequence requires --out" in captured.err
 
 
 EDGES_PATH = """\
@@ -590,3 +593,29 @@ def test_cli_digest_tool_compares_two_trees(tmp_path):
     lines = edited.stdout.splitlines()
     assert len(lines) == 3 and lines[0] != lines[1]
     assert re.fullmatch(r"differs: solve <tmp>/bad-\d+\.inst", lines[2])
+
+
+def test_cli_digest_tool_fails_on_a_crash(tmp_path):
+    # an exception escaping main is a crash record: the run finishes, names the
+    # command and exits 1, and a comparison still lists what differs
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    tool = [sys.executable, str(root / "tools" / "cli_digest.py"), "--seeds", "1"]
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "csrecon" / "cli.py"
+    text = cli.read_text()
+    guard = 'raise InvariantError("--p must be between 0 and 1")'
+    assert text.count(guard) == 1
+    cli.write_text(text.replace(guard, guard.replace("InvariantError", "RuntimeError")))
+    row = r"gen --repr edges --n 4 --c 1 --seed 1 --p 2 --out <tmp>/bad-\d+\.OUT"
+    alone = subprocess.run(tool + [str(copy)], capture_output=True, text=True)
+    assert alone.returncode == 1
+    lines = alone.stdout.splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"\d+ commands [0-9a-f]{64}", lines[0])
+    assert re.fullmatch("crash: " + row, lines[1])
+    both = subprocess.run(tool + [src, str(copy)], capture_output=True, text=True)
+    assert both.returncode == 1
+    lines = both.stdout.splitlines()
+    assert len(lines) == 4 and lines[0] != lines[1] and lines[2] == alone.stdout.splitlines()[1]
+    assert re.fullmatch("differs: " + row, lines[3])

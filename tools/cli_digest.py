@@ -47,18 +47,19 @@ A fifth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, also lifted past the depth
 the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
-split engine's tight floor, the
-exact-coloring guard, ``--emit-sequence`` without ``--out``, split tj
-emission, ``oracle --report --emit-sequence``, ``reduce --kind oct
---rule`` and ``gen --p`` outside [0, 1]).  Its one sequence, a split
-witness off the tight floor, is replayed with ``verify``.
+split engine's tight floor, the exact-coloring guard, ``--emit-sequence``
+without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
+--rule`` and ``gen --p`` outside [0, 1]).  Its two sequences, a split tar
+witness off the tight floor and a split tj sequence, are replayed with
+``verify``.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
 directory masked) and the bytes of every file it writes; an exception that
-escapes ``main`` is recorded as a ``crash`` with its type and message.  The
-digest covers every record and the text of every case-, shape- and
-oracle-corpus instance.
+escapes ``main`` is recorded as a ``crash`` with its type and message, so the
+run always finishes.  The digest covers every record and the text of every
+case-, shape- and oracle-corpus instance.  With one tree, one ``crash:`` line
+per crash record follows the digest line, and the tool exits 1.
 """
 from __future__ import annotations
 
@@ -366,10 +367,10 @@ def _trivial(path):
 def run_corpus(main, seeds, tmp):
     """Run the seeded commands for seeds 0..seeds-1, then the four fixed corpora, in ``tmp``.
 
-    Returns the command count and the records as (key, bytes) pairs, the
-    key being the command's argv with ``tmp`` masked.
+    Returns the command count, the records as (key, bytes) pairs, the key
+    being the command's argv with ``tmp`` masked, and the keys of the crashes.
     """
-    records = []
+    records, crashes = [], []
     count = 0
 
     def run(*argv, writes=None):
@@ -383,6 +384,7 @@ def run_corpus(main, seeds, tmp):
                 code = exc.code
             except Exception as exc:  # recorded, so that one crash cannot end the run
                 code = f"crash {type(exc).__name__}: {exc}"
+                crashes.append(" ".join(argv).replace(tmp, "<tmp>"))
         record = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
         if writes is not None:
             if os.path.exists(writes):
@@ -444,18 +446,24 @@ def run_corpus(main, seeds, tmp):
         seq = run(*(paths.get(token, token) for token in argv), writes=paths["OUT"])
         if seq is not None and argv[0] == "solve":
             run("verify", paths["inst"], seq)
-    return count, records
+    return count, records, crashes
 
 
 def compare(trees, seeds):
-    """Run the corpus for each tree in a subprocess; list the commands whose records differ."""
+    """Run the corpus for each tree in a subprocess; list the commands whose records differ.
+
+    A tree with crash records still has its records compared; its ``crash:``
+    lines are printed after its digest line.
+    """
     lines, records = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, tree in enumerate(trees):
             path = os.path.join(tmp, f"records-{i}.json")
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), tree, "--seeds", str(seeds),
-                 "--records", path], stdout=subprocess.PIPE, text=True, check=True)
+                 "--records", path], stdout=subprocess.PIPE, text=True)
+            if not os.path.exists(path):  # the child failed before writing its records
+                raise subprocess.CalledProcessError(proc.returncode, proc.args, proc.stdout)
             lines.append(proc.stdout.strip())
             with open(path, encoding="utf-8") as fh:
                 records.append(dict(json.load(fh)))
@@ -481,7 +489,7 @@ def main(argv=None):
     from csrecon.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        count, records = run_corpus(cli_main, args.seeds, tmp)
+        count, records, crashes = run_corpus(cli_main, args.seeds, tmp)
     digest = hashlib.sha256()
     for _, data in records:
         digest.update(data + b"\1")
@@ -489,7 +497,9 @@ def main(argv=None):
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             json.dump([(key, hashlib.sha256(data).hexdigest()) for key, data in records], fh)
-    return 0
+    for key in crashes:
+        print(f"crash: {key}")
+    return 1 if crashes else 0
 
 
 if __name__ == "__main__":
