@@ -1,6 +1,7 @@
 """Core graph types: simple graphs, split partitions, interval clique paths."""
 from __future__ import annotations
 
+import sys
 from collections import deque
 from itertools import accumulate
 
@@ -39,6 +40,8 @@ class Graph:
     def __init__(self, n, edges=()):
         if n < 0:
             raise InvariantError("vertex count must be nonnegative")
+        if n > sys.maxsize:
+            raise InvariantError(f"vertex count {n} exceeds the largest list size {sys.maxsize}")
         adjacency = [_NO_NEIGHBOURS] * n
         m = 0
         for u, v in edges:

@@ -194,9 +194,12 @@ def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
 def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     """A valid (not necessarily shortest) TAR(k) sequence, or None when unreachable.
 
-    The start set is inflated to its canonical extension, each meta-graph
-    edge is realized by shrinking to the common part and adding the new
-    clique vertex, and the final extension is deflated to the target.
+    The sets pass through T(C) for each meta path node C, then the target;
+    each leg removes what its goal lacks, then adds what it holds.  Nodes
+    differ by one clique vertex v: adding v, the removals are the independent
+    vertices v's budget excludes; removing v, those come back after it.
+    Removals go first, so every set stays colorable, and a meta edge's larger
+    extension exceeds k, so none drops below k.
     """
     start = set(start)
     target = set(target)
@@ -207,32 +210,9 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     if path is None:
         return None
     steps = []
-    cur = set(start)
-    for v in sorted(t_set(model, path[0], c) - cur):
-        steps.append(("+", v))
-        cur.add(v)
-    for a, b in zip(path, path[1:]):
-        t_b = t_set(model, b, c)
-        if len(b) > len(a):
-            (v,) = set(b) - set(a)
-            mid = t_b - {v}
-            for u in sorted(cur - mid):
-                steps.append(("-", u))
-                cur.remove(u)
-            steps.append(("+", v))
-            cur.add(v)
-        else:
-            (v,) = set(a) - set(b)
-            steps.append(("-", v))
-            cur.remove(v)
-            for u in sorted(t_b - cur):
-                steps.append(("+", u))
-                cur.add(u)
-        if cur != t_b:
-            raise RuntimeError("meta-graph step did not land on the node extension")
-    for u in sorted(cur - target):
-        steps.append(("-", u))
-        cur.remove(u)
-    if cur != target:
-        raise RuntimeError("deflation did not reach the target set")
+    cur = start
+    for goal in [*(t_set(model, node, c) for node in path), target]:
+        steps += [("-", u) for u in sorted(cur - goal)]
+        steps += [("+", u) for u in sorted(goal - cur)]
+        cur = goal
     return ReconSequence(set(start), steps)

@@ -1,6 +1,7 @@
 """Shared helpers: hand instances, exhaustive reference checks, small-graph enumeration."""
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import pytest
@@ -103,3 +104,37 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)])
+
+
+def independent_sets_of_size(g: Graph, size: int):
+    """Every independent set of ``size`` vertices, by combinations in ascending order."""
+    nbrs = g.adjacency
+    for combo in combinations(range(g.n), size):
+        s = set(combo)
+        if all(not (nbrs[v] & s) for v in combo):
+            yield s
+
+
+def all_shortest_paths(g: Graph, s: int, t: int):
+    """Every shortest s-t path as a vertex list; [] when t is unreachable."""
+    from csrecon.reductions import _bfs_dist
+
+    dist_s = _bfs_dist(g, s)
+    if dist_s[t] == math.inf:
+        return []
+    length = int(dist_s[t])
+    paths = []
+
+    def grow(path):
+        if len(path) == length + 1:
+            if path[-1] == t:
+                paths.append(list(path))
+            return
+        for v in g.adjacency[path[-1]]:
+            if dist_s[v] == len(path):
+                path.append(v)
+                grow(path)
+                path.pop()
+
+    grow([s])
+    return paths

@@ -33,7 +33,15 @@ from csrecon.generators import (
 )
 from csrecon.oracle import oracle_distance
 
-from conftest import all_graphs, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import (
+    all_graphs,
+    all_shortest_paths,
+    complete_graph,
+    cycle_graph,
+    independent_sets_of_size,
+    path_graph,
+    star_graph,
+)
 
 
 def _report(name, ok, detail=""):
@@ -186,14 +194,6 @@ def test_c5_split_oracle_equivalence():
 
 # --- criterion 6: reduction certificates --------------------------------------
 
-def _independent_sets_of_size(g, size):
-    nbrs = g.adjacency
-    for combo in combinations(range(g.n), size):
-        s = set(combo)
-        if all(not (nbrs[v] & s) for v in combo):
-            yield s
-
-
 def _isr_sources():
     for n in range(1, 5):
         yield from all_graphs(n)
@@ -210,7 +210,7 @@ def _check_isr_source(g):
     for size in range(1, g.n):
         if g.n - size < 1:
             continue
-        sets = list(_independent_sets_of_size(g, size))
+        sets = list(independent_sets_of_size(g, size))
         if not sets:
             continue
         out = isr_to_split_csr(g, sets[0], sets[0])
@@ -251,30 +251,6 @@ def _check_isr_source(g):
     return checks
 
 
-def _all_shortest_paths(g, s, t):
-    from csrecon.reductions import _bfs_dist
-
-    dist_s = _bfs_dist(g, s)
-    if dist_s[t] == math.inf:
-        return []
-    length = int(dist_s[t])
-    paths = []
-
-    def grow(path):
-        if len(path) == length + 1:
-            if path[-1] == t:
-                paths.append(list(path))
-            return
-        for v in g.adjacency[path[-1]]:
-            if dist_s[v] == len(path):
-                path.append(v)
-                grow(path)
-                path.pop()
-
-    grow([s])
-    return paths
-
-
 def _spr_sources():
     yield cycle_graph(4), 0, 2
     yield cycle_graph(6), 0, 3
@@ -288,7 +264,7 @@ def _spr_sources():
         g = random_graph(rng, rng.randint(4, 8), p=rng.random())
         s = rng.randrange(g.n)
         t = rng.randrange(g.n)
-        paths = _all_shortest_paths(g, s, t) if s != t else []
+        paths = all_shortest_paths(g, s, t) if s != t else []
         if not paths or not 2 <= len(paths[0]) - 1 <= 3:
             continue
         produced += 1
@@ -296,7 +272,7 @@ def _spr_sources():
 
 
 def _check_spr_source(g, s, t, c):
-    paths = _all_shortest_paths(g, s, t)
+    paths = all_shortest_paths(g, s, t)
     if not paths:
         return 0
     out = spr_to_cocomp_csr(g, s, t, paths[0], paths[-1], c)

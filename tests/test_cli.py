@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,18 @@ body:
 S: 0
 S2: 2
 """
+
+
+@pytest.mark.parametrize("text", [EDGES_PATH, SPLIT_REACHABLE], ids=["edges", "split"])
+def test_oversized_vertex_count_is_refused_before_allocating(tmp_path, capsys, text):
+    # a count past sys.maxsize is refused before [...] * n can raise OverflowError
+    big = "100000000000000000000"
+    inst = _write(tmp_path, "big.csr", re.sub(r"^n: \d+$", f"n: {big}", text, flags=re.M))
+    began = time.perf_counter()
+    assert main(["solve", inst]) == 2
+    assert time.perf_counter() - began < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"vertex count {big}" in captured.err
 
 
 def test_emit_sequence_without_out_is_refused_before_solving(tmp_path, capsys):

@@ -19,9 +19,11 @@ from csrecon.core import make_tracker
 
 from conftest import (
     all_graphs,
+    all_shortest_paths,
     brute_force_colorable,
     complete_graph,
     cycle_graph,
+    independent_sets_of_size,
     path_graph,
     star_graph,
 )
@@ -127,17 +129,9 @@ def test_isr_rejects_bad_inputs():
         isr_to_split_csr(g, {0}, {0, 2})
 
 
-def _independent_sets_of_size(g, size):
-    nbrs = g.adjacency
-    for combo in combinations(range(g.n), size):
-        s = set(combo)
-        if all(not (nbrs[v] & s) for v in combo):
-            yield s
-
-
 def _one_step_relations_isr(g, size):
     """Source and image one-step relations over all independent sets of a size."""
-    sets = list(_independent_sets_of_size(g, size))
+    sets = list(independent_sets_of_size(g, size))
     if not sets:
         return None
     out = isr_to_split_csr(g, sets[0], sets[0])
@@ -177,7 +171,7 @@ def test_isr_one_step_equivalence_small():
 
 def _claim_bijection_isr(g, size):
     """Every colorable set of the image size is the image of an independent set."""
-    sets = list(_independent_sets_of_size(g, size))
+    sets = list(independent_sets_of_size(g, size))
     if not sets:
         return 0
     out = isr_to_split_csr(g, sets[0], sets[0])
@@ -245,33 +239,8 @@ def test_spr_rejects_bad_paths():
         spr_to_cocomp_csr(Graph(3, [(0, 1)]), 0, 2, [0, 2], [0, 2], 2)
 
 
-def _all_shortest_paths(g, s, t):
-    from csrecon.reductions import _bfs_dist
-
-    dist_s = _bfs_dist(g, s)
-    if dist_s[t] == float("inf"):
-        return []
-    length = int(dist_s[t])
-    paths = []
-
-    def grow(path):
-        u = path[-1]
-        if len(path) == length + 1:
-            if u == t:
-                paths.append(list(path))
-            return
-        for v in g.adjacency[u]:
-            if dist_s[v] == len(path):
-                path.append(v)
-                grow(path)
-                path.pop()
-
-    grow([s])
-    return paths
-
-
 def _spr_one_step_equivalence(g, s, t, c):
-    paths = _all_shortest_paths(g, s, t)
+    paths = all_shortest_paths(g, s, t)
     if len(paths) < 2:
         return 0
     out = spr_to_cocomp_csr(g, s, t, paths[0], paths[1], c)
@@ -303,7 +272,7 @@ def test_spr_one_step_equivalence():
 
 
 def _claim_image_characterization_spr(g, s, t, c):
-    paths = _all_shortest_paths(g, s, t)
+    paths = all_shortest_paths(g, s, t)
     if len(paths) < 1:
         return 0
     out = spr_to_cocomp_csr(g, s, t, paths[0], paths[0], c)
@@ -380,7 +349,7 @@ def test_emitted_orders_always_pass():
         dist = _bfs_dist(g, s)
         if s == t or dist[t] == float("inf") or dist[t] > 3:
             continue
-        paths = _all_shortest_paths(g, s, t)
+        paths = all_shortest_paths(g, s, t)
         if not paths:
             continue
         c = rng.choice([1, 2, 3])

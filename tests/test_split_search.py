@@ -15,6 +15,7 @@ from csrecon import (
     isr_to_split_csr,
     split_tar_reachable,
     split_tar_witness,
+    t_set,
     verify_sequence,
 )
 from csrecon import split_recon
@@ -125,6 +126,34 @@ def test_level_arithmetic_matches_search():
         unreachable += want is None
         tight += _tight(model, c, k)
     assert unreachable > 0 and tight > 0
+
+
+def test_witness_passes_through_each_node_extension():
+    # every leg of the witness lands on its goal: T(C) of each meta path node
+    # in order, then S2; replayed on a plain set and by the verifier
+    searched = unreachable = 0
+    for model, c, k, start, target in _arithmetic_cases(4_000, 1906):
+        seq = split_tar_witness(model, c, start, target, k, max_c=5)
+        case = (sorted(model.clique_part), model.graph.adjacency, c, start, target, k)
+        if start == target:
+            assert seq.steps == [], case
+            continue
+        path = _meta_path(model, c, k, start, target, max_c=5)
+        assert (seq is None) == (path is None), case
+        if path is None:
+            unreachable += 1
+            continue
+        cur = set(start)
+        seen = [frozenset(cur)]
+        for op, v in seq.steps:
+            (cur.add if op == "+" else cur.remove)(v)
+            seen.append(frozenset(cur))
+        passes = iter(seen)
+        assert all(t_set(model, node, c) in passes for node in path), case
+        assert seen[-1] == target, case
+        assert verify_sequence(Instance(model, "tar", c, k, start, target), seq).ok, case
+        searched += _tight(model, c, k) and len(path) > 1
+    assert searched > 0 and unreachable > 0
 
 
 def _large_split(rng, size_k, n, p=0.5):

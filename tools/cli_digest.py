@@ -49,9 +49,11 @@ runs each guard and refusal once (``--max-n``, also lifted past the depth
 the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
 split engine's tight floor, the exact-coloring guard, ``--emit-sequence``
 without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
---rule`` and ``gen --p`` outside [0, 1]).  Its two sequences, a split tar
-witness off the tight floor and a split tj sequence, are replayed with
-``verify``.
+--rule`` and ``gen --p`` outside [0, 1]).  Its last four rows put a count
+past ``sys.maxsize`` in a header: an edge count, an intervals ``n:``, and an
+edges and a split ``n:``.  Its two sequences, a split tar witness off the
+tight floor and a split tj sequence, are replayed with ``verify``.  With the
+default 120 seeds the tool runs 7,979 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -351,9 +353,13 @@ def malformed_corpus():
          {"src": "c: 2\nk: 0\n" + SOURCE}),
         (["gen", "--repr", "edges", "--n", "4", "--c", "1", "--seed", "1", "--p", "2",
           "--out", "OUT"], {}),
-        # body counts past sys.maxsize (last, so that the rows above keep their file names)
+        # header counts past sys.maxsize, appended last so that earlier rows keep their file
+        # names: the body ends early behind an edge count or an intervals n, and an edges or a
+        # split n is refused before any allocation
         solve(_sub(EDGES, "body:\n2", "body:\n100000000000000000000")),
         solve(_sub(INTERVALS, "n: 3", "n: 100000000000000000000")),
+        solve(_sub(EDGES, "n: 3", "n: 100000000000000000000")),
+        solve(_sub(SPLIT, "n: 3", "n: 100000000000000000000")),
     ]
 
 
