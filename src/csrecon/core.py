@@ -92,14 +92,17 @@ class Graph:
 
 
 class _NeighborMasks(dict):
-    """Neighbor bitmasks, each built on first lookup; a full table takes O(n^2) bits."""
+    """Neighbor bitmasks, each built on first lookup in O(n); a full table takes O(n^2) bits."""
 
     def __init__(self, adjacency):
         self.adjacency = adjacency
 
     def __missing__(self, v):
-        self[v] = mask = sum(1 << u for u in self.adjacency[v])
-        return mask
+        adj = self.adjacency[v]
+        bits = bytearray(max(adj, default=-1) // 8 + 1)   # linear in n, unlike a running sum
+        for u in adj:
+            bits[u >> 3] |= 1 << (u & 7)
+        return self.setdefault(v, int.from_bytes(bits, "little"))
 
 
 class IntervalModel:

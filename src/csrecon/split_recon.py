@@ -6,9 +6,9 @@ path on the graph whose nodes are small clique-side subsets and whose edges
 join C to C+v exactly when the larger extension has a vertex to spare above
 the size floor k.
 
-Each clique vertex x carries an int mask of its independent neighbours, so
-|T(C)| = |C| + |I| below the budget and |C| + |I| - popcount(AND of the
-masks of C) at it.  Below the budget, then, the nodes are the subsets on
+Below the budget |T(C)| = |C| + |I|.  At it, T(C) is exactly the vertices
+outside C's common neighbourhood, so |T(C)| = n - popcount(AND of the graph's
+neighbour masks of C).  Below the budget, then, the nodes are the subsets on
 levels L = max(0, k - |I|) up to c - 1, one component whenever it spans two
 levels, so a meta path needs no search except at the tight floor
 k = |I| + c - 1.  There one breadth-first search generates neighbours on
@@ -44,16 +44,6 @@ def t_set(model, base, c):
     return base | fits
 
 
-class _Masks(dict):
-    """Clique vertex -> int mask of its independent neighbours, built on first lookup."""
-
-    def __init__(self, model):
-        self.nbrs, self.kpart = model.graph.adjacency, model.clique_part
-
-    def __missing__(self, x):
-        return self.setdefault(x, sum(1 << u for u in self.nbrs[x] - self.kpart))
-
-
 class _MetaRule:
     """Node sizes and neighbours of the meta-graph for one (model, c, k).
 
@@ -63,24 +53,27 @@ class _MetaRule:
 
     def __init__(self, model, c, k):
         self.kside = sorted(model.clique_part)
-        self.masks = _Masks(model)
-        self.all_ind = (1 << model.n) - 1 - sum(1 << x for x in self.kside)
+        self.masks = model.graph.neighbor_masks
+        self.n, self.everyone = model.n, (1 << model.n) - 1   # the common neighbourhood of ()
         self.n_ind = model.n - len(self.kside)
         self.c = c
         self.k = k
 
     def common(self, base):
-        """The independent vertices adjacent to every vertex of C, as a mask."""
-        mask = self.all_ind
+        """The vertices adjacent to every vertex of C, as a mask; all n for C = ()."""
+        mask = self.everyone
         for x in base:
             mask &= self.masks[x]
         return mask
 
     def size(self, count, common):
-        """|T(C)| for |C| = count; ``common`` is read only at the budget."""
+        """|T(C)| for |C| = count: |C| + |I| below the budget, and n - popcount(``common``)
+        at it, since K - C sees all of C, no vertex sees itself, and an independent
+        vertex sees all of C exactly when T(C) excludes it.
+        """
         if count < self.c:
             return count + self.n_ind
-        return count + self.n_ind - common.bit_count()
+        return self.n - common.bit_count()
 
     def node_size(self, base):
         return self.size(len(base), self.common(base) if len(base) == self.c else 0)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from collections.abc import Set as AbstractSet
 from itertools import combinations
@@ -395,6 +396,18 @@ def test_check_sets_returns_trackers_of_both_sets():
                 others = [v for v in range(n) if v not in members]
                 assert tracker.colorable() and fresh.colorable()
                 assert [tracker.can_add(v) for v in others] == [fresh.can_add(v) for v in others]
+
+
+def test_neighbor_masks_are_built_in_linear_time():
+    # the hub of a star with 200,000 leaves: a mask summed bit by bit copies a
+    # growing int once per neighbour, quadratic in the degree
+    n = 200_001
+    star = Graph(n, ((0, v) for v in range(1, n)))
+    began = time.perf_counter()
+    check_sets(star, 2, {0, 1, 2}, {0, 1, 2}, 0)
+    assert time.perf_counter() - began < 0.3
+    assert star.neighbor_masks[0] == (1 << n) - 2 and star.neighbor_masks[1] == 1
+    assert Graph(3).neighbor_masks[2] == 0   # an isolated vertex
 
 
 def test_can_add_never_changes_the_set():

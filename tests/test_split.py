@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -75,16 +76,31 @@ def test_meta_graph_edge_condition(pqr_model):
 
 
 def test_meta_rule_masks_match_the_independent_part():
+    # the rule reads the graph's own lazy masks, and n - popcount of C's common
+    # neighbourhood at the budget is exactly the tracker-defined |T(C)|
     rng = random.Random(43)
     for _ in range(200):
         model = random_split_model(rng, rng.randint(0, 12), p=rng.random())
         ind = model.independent_part
-        rule = _MetaRule(model, rng.randint(1, 3), 0)
-        assert rule.all_ind == sum(1 << u for u in ind)
-        assert rule.n_ind == len(ind)
+        c = rng.randint(0, 3)
+        rule = _MetaRule(model, c, 0)
+        assert rule.masks is model.graph.neighbor_masks
         assert rule.masks == {}  # built on first lookup
-        assert {x: rule.masks[x] for x in model.clique_part} == {
-            x: sum(1 << u for u in model.graph.adjacency[x] & ind) for x in model.clique_part}
+        assert rule.n_ind == len(ind)
+        for size in range(min(c, len(rule.kside)) + 1):
+            for base in combinations(rule.kside, size):
+                assert rule.node_size(base) == len(t_set(model, base, c))
+
+
+def test_split_masks_are_built_in_linear_time():
+    # K = {0, 1} sees every other vertex: a mask summed bit by bit copies a
+    # growing int once per neighbour, quadratic in the degree
+    n = 200_000
+    edges = [(0, 1), *((x, v) for v in range(2, n) for x in (0, 1))]
+    model = SplitModel(Graph(n, edges), {0, 1})
+    began = time.perf_counter()
+    assert split_tar_reachable(model, 1, {0}, {1}, 0)
+    assert time.perf_counter() - began < 0.5
 
 
 def test_split_solve_is_linear_in_the_header_n(tmp_path, capsys):
