@@ -108,27 +108,27 @@ class _NeighborMasks(dict):
 class IntervalModel:
     """Clique-path model of an interval graph.
 
-    The maximal cliques are ordered M_1..M_t so that every vertex occupies a
-    consecutive run; ``spans[v] = (l, r)`` gives that run with 1-based
-    indices. Two vertices are adjacent exactly when their spans intersect,
-    and the spans themselves form an interval representation of the graph.
-    ``model_from_intervals`` builds it; the constructor only stores its arguments.
+    The maximal cliques are ordered M_1..M_t so that every vertex v occupies
+    the consecutive run M_lefts[v]..M_rights[v], with 1-based indices; the
+    two int lists are parallel.  Two vertices are adjacent exactly when
+    their runs intersect, and the runs themselves form an interval
+    representation of the graph.  ``model_from_intervals`` builds it; the
+    constructor only stores its arguments.
     """
 
-    __slots__ = ("t", "spans")
+    __slots__ = ("t", "lefts", "rights")
 
-    def __init__(self, t, spans):
+    def __init__(self, t, lefts, rights):
         self.t = t
-        self.spans = spans
+        self.lefts = lefts
+        self.rights = rights
 
     @property
     def n(self):
-        return len(self.spans)
+        return len(self.lefts)
 
     def has_edge(self, u, v):
-        lu, ru = self.spans[u]
-        lv, rv = self.spans[v]
-        return lu <= rv and lv <= ru
+        return self.lefts[u] <= self.rights[v] and self.lefts[v] <= self.rights[u]
 
     def __repr__(self):
         return f"IntervalModel(n={self.n}, t={self.t})"
@@ -180,9 +180,9 @@ def model_from_intervals(endpoints):
     One sweep over the right ends in coordinate order builds the whole path:
     when some interval has started since the last clique closed, the current
     right end closes clique t+1, every left end consumed in that step gets
-    index t+1, and each right end gets the current t.  That rule closes
-    exactly the maximal cliques, in path order, so no containment filtering
-    is needed.
+    t+1 in ``lefts``, and each right end gets the current t in ``rights``.
+    That rule closes exactly the maximal cliques, in path order, so no
+    containment filtering is needed.
     """
     for v, (l, r) in enumerate(endpoints):
         if l > r:
@@ -191,8 +191,8 @@ def model_from_intervals(endpoints):
     # events encoded as coord*n + vertex: plain ints sort much faster than
     # tuples, and floor division decodes exactly, negative coords included
     by_left = sorted(l * n + v for v, (l, _) in enumerate(endpoints))
-    left_idx = [0] * n
-    spans = [None] * n
+    lefts = [0] * n
+    rights = [0] * n
     t = i = 0
     for x in sorted(r * n + v for v, (_, r) in enumerate(endpoints)):
         r = x // n
@@ -200,21 +200,19 @@ def model_from_intervals(endpoints):
         if i < n and by_left[i] < bound:
             t += 1
             while i < n and by_left[i] < bound:
-                left_idx[by_left[i] % n] = t
+                lefts[by_left[i] % n] = t
                 i += 1
-        v = x - r * n
-        spans[v] = (left_idx[v], t)
-    return IntervalModel(t, spans)
+        rights[x - r * n] = t
+    return IntervalModel(t, lefts, rights)
 
 
 def interval_clique_counts(model, members):
     """Per-clique member counts; entry i is the size of the overlap with clique i+1."""
     diff = [0] * (model.t + 1)
-    spans = model.spans
+    lefts, rights = model.lefts, model.rights
     for v in members:
-        l, r = spans[v]
-        diff[l - 1] += 1
-        diff[r] -= 1
+        diff[lefts[v] - 1] += 1
+        diff[rights[v]] -= 1
     counts = list(accumulate(diff))
     counts.pop()
     return counts
@@ -313,10 +311,11 @@ def check_sets(rep, c, start, target, k, same_size=False):
 
 
 class _IntervalTracker:
-    """Incremental clique counts so replay costs O(span) per step."""
+    """Incremental clique counts so replay costs O(run length) per step."""
 
     def __init__(self, model, members, c):
-        self.spans = model.spans
+        self.lefts = model.lefts
+        self.rights = model.rights
         self.c = c
         self.members = set(members)
         self.counts = interval_clique_counts(model, self.members)
@@ -325,36 +324,29 @@ class _IntervalTracker:
         return max(self.counts, default=0) <= self.c
 
     def can_add(self, v):
-        l, r = self.spans[v]
-        counts = self.counts
-        c = self.c
-        return all(counts[i] < c for i in range(l - 1, r))
+        return max(self.counts[self.lefts[v] - 1:self.rights[v]]) < self.c
 
     def addable(self, among=None):
         """Nonmembers (of ``among`` when given) that can be added, ascending.
 
-        A vertex fits iff no clique of its span is full; one prefix sum over
+        A vertex fits iff no clique of its run is full; one prefix sum over
         the full cliques answers that in O(1) per vertex.
         """
         full = [0, *accumulate(map(self.c.__le__, self.counts))]
-        spans = self.spans
+        lefts, rights = self.lefts, self.rights
         members = self.members
-        for v in range(len(spans)) if among is None else sorted(among):
-            if v not in members:
-                l, r = spans[v]
-                if full[r] == full[l - 1]:
-                    yield v
+        for v in range(len(lefts)) if among is None else sorted(among):
+            if v not in members and full[rights[v]] == full[lefts[v] - 1]:
+                yield v
 
     def add(self, v):
         self.members.add(v)
-        l, r = self.spans[v]
-        for i in range(l - 1, r):
+        for i in range(self.lefts[v] - 1, self.rights[v]):
             self.counts[i] += 1
 
     def remove(self, v):
         self.members.discard(v)
-        l, r = self.spans[v]
-        for i in range(l - 1, r):
+        for i in range(self.lefts[v] - 1, self.rights[v]):
             self.counts[i] -= 1
 
 

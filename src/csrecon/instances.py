@@ -288,7 +288,7 @@ def render_instance(inst):
     ]
     rep = inst.representation
     if inst.repr_kind == "intervals":
-        endpoints = inst.endpoints if inst.endpoints is not None else rep.spans
+        endpoints = inst.endpoints if inst.endpoints is not None else zip(rep.lefts, rep.rights)
         out.extend(f"{l} {r}" for l, r in endpoints)
     else:
         if inst.repr_kind == "split":

@@ -100,11 +100,11 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
                 raise RuntimeError("no extension found for an unlocked set")
             out.append(("+", v))
             other_only.discard(v)
-    spans = model.spans
-    by_r_a = sorted((spans[v][1], v) for v in a_only)
-    by_l_a = sorted((spans[v][0], v) for v in a_only)
-    by_r_b = sorted((spans[v][1], v) for v in b_only)
-    by_l_b = sorted((spans[v][0], v) for v in b_only)
+    lefts, rights = model.lefts, model.rights
+    by_r_a = sorted(zip(map(rights.__getitem__, a_only), a_only))
+    by_l_a = sorted(zip(map(lefts.__getitem__, a_only), a_only))
+    by_r_b = sorted(zip(map(rights.__getitem__, b_only), b_only))
+    by_l_b = sorted(zip(map(lefts.__getitem__, b_only), b_only))
     ra = la = rb = lb = 0
     while a_only and b_only:
         while by_r_b[rb][1] not in b_only:

@@ -96,7 +96,7 @@ def test_c1_interval_oracle_equivalence():
     for model, c, start, target, k in _interval_suite(1000):
         verdict = tar_distance(model, c, start, target, k)
         dist, _ = oracle_distance(model, c, start, target, k=k, rule="tar")
-        assert verdict.distance == dist, (model.spans, c, start, target, k)
+        assert verdict.distance == dist, (model.lefts, model.rights, c, start, target, k)
         cases += 1
         cs.add(c)
         ks.add(k)

@@ -269,8 +269,8 @@ def test_split_model_rejects_bad_partition():
 # --- interval model construction --------------------------------------------
 
 def _cliques(model):
-    """Member lists of M_1..M_t, read off the spans."""
-    return [[v for v, (l, r) in enumerate(model.spans) if l <= i <= r]
+    """Member lists of M_1..M_t, read off the runs."""
+    return [[v for v, (l, r) in enumerate(zip(model.lefts, model.rights)) if l <= i <= r]
             for i in range(1, model.t + 1)]
 
 
@@ -278,13 +278,27 @@ def test_model_examples():
     model = model_from_intervals([(1, 1), (1, 2), (2, 2)])
     assert model.t == 2
     assert _cliques(model) == [[0, 1], [1, 2]]
-    assert model.spans == [(1, 1), (1, 2), (2, 2)]
+    assert list(zip(model.lefts, model.rights)) == [(1, 1), (1, 2), (2, 2)]
 
     single = model_from_intervals([(5, 9)])
-    assert single.t == 1 and _cliques(single) == [[0]] and single.spans == [(1, 1)]
+    assert single.t == 1 and _cliques(single) == [[0]]
+    assert list(zip(single.lefts, single.rights)) == [(1, 1)]
 
     twin = model_from_intervals([(1, 2), (1, 2)])
     assert twin.t == 1 and _cliques(twin) == [[0, 1]]
+
+
+def test_model_retains_two_ints_per_vertex():
+    n = 10_000
+    endpoints = random_endpoints(random.Random(21), n, coord_max=2 * n, max_len=6)
+    tracemalloc.start()
+    try:
+        model = model_from_intervals(endpoints)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n == n
+    assert retained < 48 * n, retained / n
 
 
 def test_model_rejects_reversed_pair():
@@ -296,13 +310,13 @@ def _check_model_invariants(endpoints, model):
     n = model.n
     raw_edges = {(u, v) for u, v in combinations(range(n), 2)
                  if endpoints[u][0] <= endpoints[v][1] and endpoints[v][0] <= endpoints[u][1]}
-    # adjacency by spans, and by a split model of the same graph when it is split,
+    # adjacency by runs, and by a split model of the same graph when it is split,
     # == adjacency by raw intervals, all pairs
     split = split_partition(Graph(n, raw_edges))
     for rep in (model,) if split is None else (model, split):
         for u, v in combinations(range(n), 2):
             assert rep.has_edge(u, v) == ((u, v) in raw_edges)
-    # each clique read off the spans is a maximal clique of the raw interval graph
+    # each clique read off the runs is a maximal clique of the raw interval graph
     nbrs = [{u for u in range(n) if (min(u, v), max(u, v)) in raw_edges} for v in range(n)]
     sets = [set(cl) for cl in _cliques(model)]
     for members in sets:
@@ -363,7 +377,8 @@ def test_clique_path_matches_brute_force():
         cases.append([tuple(p) for p in pairs])
     for endpoints in cases:
         model = model_from_intervals(endpoints)
-        assert (model.t, list(model.spans)) == _brute_force_clique_path(endpoints)
+        runs = list(zip(model.lefts, model.rights))
+        assert (model.t, runs) == _brute_force_clique_path(endpoints)
 
 
 def test_greedy_set_is_colorable_and_maximal():

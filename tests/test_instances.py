@@ -9,9 +9,11 @@ import pytest
 from csrecon import (
     FormatError,
     Graph,
+    Instance,
     InvariantError,
     ReconSequence,
     SplitModel,
+    model_from_intervals,
     parse_instance,
     parse_sequence,
     render_instance,
@@ -181,6 +183,20 @@ def test_round_trip_is_identity_on_rendered_text():
         text = render_instance(inst)
         again = render_instance(parse_instance(text))
         assert text == again
+
+
+def test_interval_instance_without_endpoints_renders_its_runs(
+        e1_model, e2_model, e3_model, e4_model, e5_model):
+    models = [e1_model, e2_model, e3_model, e4_model, e5_model,
+              model_from_intervals([(-7, -3), (-5, 0), (-1, 4), (2, 2)]),   # negative coordinates
+              model_from_intervals([(1, 10), (2, 3), (4, 9), (5, 6), (7, 8)])]  # nested
+    for model in models:
+        inst = Instance(model, "tar", 1, 0, {0}, {model.n - 1})
+        text = render_instance(inst)
+        body = text.split("body:\n")[1].splitlines()[:model.n]
+        assert body == [f"{l} {r}" for l, r in zip(model.lefts, model.rights)]
+        back = parse_instance(text).representation
+        assert (back.t, back.lefts, back.rights) == (model.t, model.lefts, model.rights)
 
 
 def test_extra_trailing_keys_are_preserved_for_sources():

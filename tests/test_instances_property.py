@@ -38,7 +38,7 @@ def test_parse_sequence_undoes_render_sequence(start, steps):
 
 def _same_representation(kind, a, b):
     if kind == "intervals":
-        return a.t == b.t and a.spans == b.spans
+        return a.t == b.t and a.lefts == b.lefts and a.rights == b.rights
     if kind == "split":
         return a.graph == b.graph and a.clique_part == b.clique_part
     return a == b
