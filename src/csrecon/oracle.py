@@ -1,9 +1,10 @@
 """Ground-truth engine: BFS over the graph of all colorable sets.
 
-Only meant for desk-size instances; every public entry point is guarded by a
-vertex-count cap and a cap on the number of enumerated states, which is
-optional for distances and defaults to ``DEFAULT_REPORT_MAX_STATES`` for the
-connectivity report, whose diameters take one BFS per state.
+Only meant for desk-size instances.  The state space, the distance and the
+connectivity report are guarded by a vertex-count cap and a cap on the number
+of enumerated states, which is optional for distances and defaults to
+``DEFAULT_REPORT_MAX_STATES`` for the report, whose diameters take one BFS per
+state.  ``enumerate_colorable_sets`` has only the optional state cap.
 """
 from __future__ import annotations
 
@@ -54,9 +55,19 @@ class StateSpace:
         return [self.neighbours(i) for i in range(len(self.states))]
 
 
-def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
-    """The colorable sets that ``enumerate_colorable_sets`` returns, as bitmasks in its order."""
-    n = g_or_model.n
+def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
+    """All colorable vertex sets, as bitmasks (bit v for member v), in lexicographic order.
+
+    One feasibility tracker follows a walk that adds vertices in ascending
+    order and records each set before its extensions, which is already
+    lexicographic order.  Colorable sets are closed under taking subsets, so
+    a vertex that does not fit a set fits none of its supersets: each node
+    tests its candidates once and hands its children only the later ones
+    that fitted.  A branch is also cut once its candidates can no longer
+    reach the size floor, and never grows past the exact size, so a high
+    floor prunes most of the search too (the edgeless 20-vertex graph at tar
+    k=20 takes 210 ``can_add`` tests).
+    """
     masks = []
     tracker = make_tracker(g_or_model, (), c)
     floor = min_size if exact_size is None else max(min_size, exact_size)
@@ -78,33 +89,15 @@ def _colorable_masks(g_or_model, c, min_size, exact_size, max_states):
             grow(mask | 1 << v, size + 1, fits[i + 1:])
             tracker.remove(v)
 
-    grow(0, 0, range(n))
+    grow(0, 0, range(g_or_model.n))
     return masks
 
 
-def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
-    """All colorable vertex sets, as sorted tuples in lexicographic order.
-
-    One feasibility tracker follows a walk that adds vertices in ascending
-    order and records each set before its extensions, which is already
-    lexicographic order.  Colorable sets are closed under taking subsets, so
-    a vertex that does not fit a set fits none of its supersets: each node
-    tests its candidates once and hands its children only the later ones
-    that fitted.  A branch is also cut once its candidates can no longer
-    reach the size floor, and never grows past the exact size, so a high
-    floor prunes most of the search too (the edgeless 20-vertex graph at tar
-    k=20 takes 210 ``can_add`` tests).
-    """
-    return [tuple(v for v in range(g_or_model.n) if mask >> v & 1)
-            for mask in _colorable_masks(g_or_model, c, min_size, exact_size, max_states)]
-
-
-def build_state_space(g_or_model, c, k, rule, size=None,
-                      max_n=DEFAULT_MAX_N, max_states=None):
+def build_state_space(g_or_model, c, size, rule, max_n=DEFAULT_MAX_N, max_states=None):
     """The feasible sets under ``rule``; their moves are generated on demand.
 
-    Under tar the sets have at least k members, under tj and ts exactly
-    ``size``.  Only the connectivity report reads ``adj``.
+    Under tar the sets have at least ``size`` members, under tj and ts
+    exactly ``size``.  Only the connectivity report reads ``adj``.
     """
     n = g_or_model.n
     if n > max_n:
@@ -113,8 +106,8 @@ def build_state_space(g_or_model, c, k, rule, size=None,
     if not tar and rule not in ("tj", "ts"):
         raise InvariantError(f"unknown rule '{rule}'")
     try:  # the walk recurses once per member, so a lifted max_n can outgrow the stack
-        states = _colorable_masks(g_or_model, c, k if tar else 0, None if tar else size,
-                                  max_states)
+        states = enumerate_colorable_sets(g_or_model, c, size if tar else 0,
+                                          None if tar else size, max_states)
     except RecursionError:
         raise ResourceLimitError(
             f"oracle guard: n={n} nests the enumeration too deep; lower max_n") from None
@@ -136,7 +129,7 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     components the distance is ``math.inf`` and the sequence is None.
     """
     check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
-    space = build_state_space(g_or_model, c, k, rule, size=len(start),
+    space = build_state_space(g_or_model, c, k if rule == "tar" else len(start), rule,
                               max_n=max_n, max_states=max_states)
     src = space.index[sum(1 << v for v in start)]
     dst = space.index[sum(1 << v for v in target)]
@@ -165,8 +158,7 @@ def oracle_connectivity_report(g_or_model, c, k, rule="tar",
     BFS per state, so the state count is capped by default; ``max_states=None``
     lifts the cap.
     """
-    space = build_state_space(g_or_model, c, k, rule, size=k,
-                              max_n=max_n, max_states=max_states)
+    space = build_state_space(g_or_model, c, k, rule, max_n=max_n, max_states=max_states)
     neighbours = space.adj.__getitem__
     seen = set()
     sizes = []

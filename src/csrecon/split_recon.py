@@ -109,10 +109,9 @@ def _check_budget(c, max_c):
 
 @dataclass
 class MetaGraph:
-    """Nodes are canonical (sorted-tuple) clique-side subsets; ``tsets`` holds their extensions."""
+    """Nodes are canonical (sorted-tuple) clique-side subsets; ``t_set`` gives their extensions."""
 
     nodes: list
-    tsets: list
     adj: list
     index: dict
 
@@ -122,8 +121,7 @@ def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
 
     C is adjacent to every subset C-v as soon as its own extension exceeds
     the floor; node and edge counts stay within sum_{i<=c} (|K| choose i).
-    The whole graph is materialised, with every extension, for inspection;
-    reachability and witnesses search it lazily instead.
+    The whole graph is materialised for inspection; the solvers search it lazily.
     """
     _check_budget(c, max_c)
     rule = _MetaRule(model, c, k)
@@ -140,7 +138,7 @@ def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
             adj[j].append(i)
     for lst in adj:
         lst.sort()
-    return MetaGraph(nodes, [t_set(model, combo, c) for combo in nodes], adj, index)
+    return MetaGraph(nodes, adj, index)
 
 
 def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):

@@ -27,6 +27,11 @@ from conftest import (
 )
 
 
+def _members(masks):
+    """Each bitmask (bit v for member v) as the sorted tuple of its members."""
+    return [tuple(v for v in range(mask.bit_length()) if mask >> v & 1) for mask in masks]
+
+
 def test_distance_examples(e1_model, e2_model):
     dist, _ = oracle_distance(e2_model, 1, {0}, {1}, k=1, rule="tar")
     assert dist == math.inf
@@ -78,11 +83,11 @@ def test_pruned_enumeration_equals_filtered_full_enumeration():
         n = rng.randint(0, 9)
         g = random_graph(rng, n, p=rng.random())
         c = rng.randint(1, 3)
-        full = enumerate_colorable_sets(g, c)
+        full = _members(enumerate_colorable_sets(g, c))
         for size in range(n + 2):
-            assert enumerate_colorable_sets(g, c, min_size=size) == \
+            assert _members(enumerate_colorable_sets(g, c, min_size=size)) == \
                 [s for s in full if len(s) >= size]
-            assert enumerate_colorable_sets(g, c, exact_size=size) == \
+            assert _members(enumerate_colorable_sets(g, c, exact_size=size)) == \
                 [s for s in full if len(s) == size]
 
 
@@ -101,9 +106,9 @@ def test_enumeration_equals_filtered_combinations():
             for c in (1, 2, 3):
                 want = [s for s in subsets if brute_force_colorable(plain, s, c)]
                 for size in range(n + 2):
-                    assert enumerate_colorable_sets(rep, c, min_size=size) == \
+                    assert _members(enumerate_colorable_sets(rep, c, min_size=size)) == \
                         [s for s in want if len(s) >= size], (rep, c, size)
-                    assert enumerate_colorable_sets(rep, c, exact_size=size) == \
+                    assert _members(enumerate_colorable_sets(rep, c, exact_size=size)) == \
                         [s for s in want if len(s) == size], (rep, c, size)
 
 
@@ -118,7 +123,7 @@ def test_oracle_sequences_replay():
             for rule in ("tar", "tj", "ts"):
                 c = rng.choice([1, 2])
                 size = None if rule == "tar" else rng.randint(0, n)
-                sets = enumerate_colorable_sets(rep, c, exact_size=size)
+                sets = _members(enumerate_colorable_sets(rep, c, exact_size=size))
                 if not sets:
                     continue
                 start, target = set(rng.choice(sets)), set(rng.choice(sets))
@@ -180,7 +185,7 @@ def test_rejected_vertex_is_not_tested_again_below(monkeypatch):
     monkeypatch.setattr(oracle, "make_tracker", counting)
     n = 12
     star = Graph(n, [(v, n - 1) for v in range(n - 1)])
-    states = oracle._colorable_masks(star, 1, 0, None, None)
+    states = enumerate_colorable_sets(star, 1)
     assert len(states) == 2 ** (n - 1) + 1
     assert calls <= len(states) + n
 
@@ -235,8 +240,8 @@ def test_adjacency_symmetric_everywhere():
         g = random_graph(rng, n, p=rng.random())
         rule = rng.choice(["tar", "tj", "ts"])
         size = rng.randint(0, n)
-        space = build_state_space(g, rng.randint(1, 3), rng.randint(0, n), rule,
-                                  size=size)
+        c, k = rng.randint(1, 3), rng.randint(0, n)
+        space = build_state_space(g, c, k if rule == "tar" else size, rule)
         for i, neighbors in enumerate(space.adj):
             for j in neighbors:
                 assert i in space.adj[j]
@@ -253,7 +258,7 @@ def test_adjacency_equals_brute_force_steps():
         for rep in reps:
             for rule in ("tar", "tj", "ts"):
                 k = rng.randint(0, n)
-                space = build_state_space(rep, c, k, rule, size=k)
+                space = build_state_space(rep, c, k, rule)
                 sets = [{v for v in range(n) if mask >> v & 1} for mask in space.states]
                 want = []
                 for a in sets:
@@ -276,7 +281,7 @@ def test_tar_distance_monotone_in_k():
         n = rng.randint(1, 8)
         g = random_graph(rng, n, p=0.4)
         c = rng.choice([1, 2])
-        sets = enumerate_colorable_sets(g, c)
+        sets = _members(enumerate_colorable_sets(g, c))
         if len(sets) < 2:
             continue
         start = set(rng.choice(sets))
@@ -297,7 +302,7 @@ def test_tar_tj_relation_on_plain_graphs():
         g = random_graph(rng, n, p=rng.random())
         c = rng.choice([1, 2])
         size = rng.randint(1, max(1, n))
-        sets = enumerate_colorable_sets(g, c, exact_size=size)
+        sets = _members(enumerate_colorable_sets(g, c, exact_size=size))
         if len(sets) < 2:
             continue
         start = set(rng.choice(sets))
@@ -324,3 +329,20 @@ def test_enumeration_backtracks_only_when_no_color_is_free(monkeypatch):
     monkeypatch.setattr(core, "_exact_classes", counted)
     assert len(enumerate_colorable_sets(Graph(12), 2)) == 2 ** 12
     assert calls <= 1
+
+
+def test_distance_and_report_enumerate_through_the_public_walker(monkeypatch):
+    # a traced run wraps oracle.enumerate_colorable_sets; each oracle entry point
+    # must reach the walk through that name, once
+    calls = []
+    walk = oracle.enumerate_colorable_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_colorable_sets", counted)
+    dist, _ = oracle_distance(path_graph(4), 1, {0, 2}, {1, 3}, rule="tj")
+    assert dist == 2 and len(calls) == 1
+    report = oracle_connectivity_report(Graph(3), 1, 0, rule="tar")
+    assert report.sizes == [8] and len(calls) == 2

@@ -72,7 +72,7 @@ def test_meta_graph_edge_condition(pqr_model):
             continue
         i, j = meta.index[()], meta.index[(0,)]
         has_edge = j in meta.adj[i]
-        assert has_edge == (len(meta.tsets[j]) >= k + 1)
+        assert has_edge == (len(t_set(pqr_model, meta.nodes[j], 2)) >= k + 1)
 
 
 def test_meta_rule_masks_match_the_independent_part():
@@ -128,8 +128,8 @@ def test_t_sets_colorable_and_contain_sources(pqr_model):
         model = random_split_model(rng, rng.randint(1, 10), p=rng.random())
         c = rng.choice([1, 2, 3])
         meta = build_meta_graph(model, c, 0)
-        for ts in meta.tsets:
-            assert make_tracker(model, ts, c).colorable()
+        for node in meta.nodes:
+            assert make_tracker(model, t_set(model, node, c), c).colorable()
         s = greedy_set(model, c, rng, target=rng.randint(0, model.n))
         assert s <= t_set(model, s & model.clique_part, c)
 
@@ -200,7 +200,7 @@ def test_meta_edge_soundness_small():
             for j in meta.adj[i]:
                 if j < i:
                     continue
-                a, b = meta.tsets[i], meta.tsets[j]
+                a, b = t_set(model, combo, c), t_set(model, meta.nodes[j], c)
                 dist, _ = oracle_distance(model, c, set(a), set(b),
                                           k=k, rule="tar")
                 assert dist != math.inf
@@ -212,7 +212,7 @@ def test_meta_edge_soundness_small():
                 j = meta.index.get(smaller)
                 if j is None or j in meta.adj[i]:
                     continue
-                assert len(meta.tsets[i]) == k
-                dist, _ = oracle_distance(model, c, set(meta.tsets[i]),
-                                          set(meta.tsets[j]), k=k, rule="tar")
+                a, b = t_set(model, combo, c), t_set(model, smaller, c)
+                assert len(a) == k
+                dist, _ = oracle_distance(model, c, set(a), set(b), k=k, rule="tar")
                 assert dist == math.inf
