@@ -32,7 +32,7 @@ class Instance:
     target: set
     # raw interval input kept so rendering reproduces the file body verbatim
     endpoints: list | None = None
-    trackers: tuple | None = field(default=None, repr=False, compare=False)
+    trackers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):

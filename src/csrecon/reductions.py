@@ -173,20 +173,13 @@ def spr_to_cocomp_csr(g, s, t, path_start, path_target, c):
     length = int(length)
     _check_shortest_path(g, s, t, path_start, length, "P")
     _check_shortest_path(g, s, t, path_target, length, "P2")
-    layers_src = []
-    for i in range(length + 1):
-        layers_src.append(sorted(v for v in range(g.n)
-                                 if dist_s[v] == i and dist_t[v] == length - i))
-    source_vertex = {}
-    layers = []
-    nxt = 0
-    for layer in layers_src:
-        ids = []
-        for v in layer:
-            source_vertex[nxt] = v
-            ids.append(nxt)
-            nxt += 1
-        layers.append(ids)
+    # the vertices on some shortest s-t path, numbered layer by layer
+    on_path = sorted((dist_s[v], v) for v in range(g.n) if dist_s[v] + dist_t[v] == length)
+    source_vertex = {new: v for new, (_, v) in enumerate(on_path)}
+    layers = [[] for _ in range(length + 1)]
+    for new, (i, _) in enumerate(on_path):
+        layers[i].append(new)
+    nxt = len(on_path)
     padding = []
     for _ in range(length + 1):
         group = list(range(nxt, nxt + c - 1))

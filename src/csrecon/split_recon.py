@@ -13,8 +13,9 @@ levels L = max(0, k - |I|) up to c - 1, one component whenever it spans two
 levels, so a meta path needs no search except at the tight floor
 k = |I| + c - 1.  There one breadth-first search generates neighbours on
 demand and stops as soon as the target node is discovered.  Extensions are
-materialised only along the witness path; ``build_meta_graph`` materialises
-the whole graph on the same rules, for inspection only.
+materialised only along the witness path.  For inspection only,
+``build_meta_graph`` applies the search's own neighbour rule to every node,
+in (size, lexicographic) index order.
 """
 from __future__ import annotations
 
@@ -79,10 +80,10 @@ class _MetaRule:
         return self.size(len(base), self.common(base) if len(base) == self.c else 0)
 
     def neighbours(self, base):
-        """Neighbours of node C in ascending meta-graph index order.
+        """Neighbours of node C in ascending (size, lexicographic) index order.
 
         First C-v in lexicographic order (v from last to first), then C+v by
-        ascending v, which is the order of ``build_meta_graph``'s adjacency.
+        ascending v.  The search and ``build_meta_graph`` both use this rule.
         """
         count = len(base)
         if count and self.node_size(base) > self.k:
@@ -119,35 +120,28 @@ class MetaGraph:
 def build_meta_graph(model, c, k, max_c=DEFAULT_MAX_C):
     """All clique-side subsets of size at most c whose extension reaches the floor k.
 
-    C is adjacent to every subset C-v as soon as its own extension exceeds
-    the floor; node and edge counts stay within sum_{i<=c} (|K| choose i).
-    The whole graph is materialised for inspection; the solvers search it lazily.
+    Nodes are indexed in (size, lexicographic) order, and each adjacency list
+    is ``_MetaRule.neighbours`` of its node, the rule the solvers search
+    lazily; node and edge counts stay within sum_{i<=c} (|K| choose i).
     """
     _check_budget(c, max_c)
     rule = _MetaRule(model, c, k)
     nodes = [combo for size in range(min(c, len(rule.kside)) + 1)
              for combo in combinations(rule.kside, size) if rule.node_size(combo) >= k]
     index = {combo: i for i, combo in enumerate(nodes)}
-    adj = [[] for _ in nodes]
-    for i, combo in enumerate(nodes):
-        if not combo or rule.node_size(combo) < k + 1:
-            continue
-        for v in combo:
-            j = index[tuple(x for x in combo if x != v)]
-            adj[i].append(j)
-            adj[j].append(i)
-    for lst in adj:
-        lst.sort()
+    adj = [[index[nb] for nb in rule.neighbours(node)] for node in nodes]
     return MetaGraph(nodes, adj, index)
 
 
 def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
-    """A shortest meta path from S's clique part to S2's, or None.
+    """A shortest meta path from S's clique part to S2's, or None; ``check_sets`` runs first.
 
     Off the tight floor the path sheds S-side vertices in ascending order,
     first swapping in the next S2-side one whenever the level is L, then adds
     the rest.  Both ends are nodes: the extension of S's clique part holds S.
     """
+    start, target = set(start), set(target)
+    check_sets(model, c, start, target, k)
     src = tuple(sorted(start & model.clique_part))
     dst = tuple(sorted(target & model.clique_part))
     if src == dst:
@@ -176,9 +170,6 @@ def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
 
 def split_tar_reachable(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     """Decide TAR(k) reachability between two colorable sets of a split graph."""
-    start = set(start)
-    target = set(target)
-    check_sets(model, c, start, target, k)
     return _meta_path(model, c, k, start, target, max_c) is not None
 
 
@@ -192,18 +183,16 @@ def split_tar_witness(model, c, start, target, k, max_c=DEFAULT_MAX_C):
     Removals go first, so every set stays colorable, and a meta edge's larger
     extension exceeds k, so none drops below k.
     """
-    start = set(start)
-    target = set(target)
-    check_sets(model, c, start, target, k)
-    if start == target:
-        return ReconSequence(set(start), [])
     path = _meta_path(model, c, k, start, target, max_c)
     if path is None:
         return None
+    start, target = set(start), set(target)
+    if start == target:
+        return ReconSequence(start, [])
     steps = []
     cur = start
     for goal in [*(t_set(model, node, c) for node in path), target]:
         steps += [("-", u) for u in sorted(cur - goal)]
         steps += [("+", u) for u in sorted(goal - cur)]
         cur = goal
-    return ReconSequence(set(start), steps)
+    return ReconSequence(start, steps)

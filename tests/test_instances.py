@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -258,6 +259,16 @@ def test_a_parsed_instance_answers_alike_on_repeated_use():
     assert tar_distance(*args, fresh.take_trackers()) == want
     assert verify_sequence(fresh, seq) == VerifyResult(True)
     assert fresh.take_trackers() is None
+
+
+def test_trackers_are_set_by_parsing_only():
+    # the constructor takes no trackers, and a replaced copy, whose sets may
+    # differ, starts without the ones parsing built for the original
+    inst = _e1_instance()
+    with pytest.raises(TypeError):
+        Instance(inst.representation, "tar", 1, 1, {0}, {2}, trackers=inst.trackers)
+    assert replace(inst, start={1}).take_trackers() is None
+    assert inst.take_trackers() is not None
 
 
 def test_verify_threshold_violation():

@@ -11,7 +11,6 @@ from csrecon import (
     Graph,
     Instance,
     SplitModel,
-    build_meta_graph,
     isr_to_split_csr,
     split_tar_reachable,
     split_tar_witness,
@@ -27,11 +26,33 @@ from csrecon.split_recon import _meta_path, _MetaRule
 from conftest import all_graphs, cycle_graph
 
 
-def _materialised_path(model, c, k, start, target):
-    """BFS over the materialised meta-graph's sorted adjacency, as node tuples."""
-    meta = build_meta_graph(model, c, k)
-    src = meta.index[tuple(sorted(start & model.clique_part))]
-    dst = meta.index[tuple(sorted(target & model.clique_part))]
+def _reference_graph(model, c, k):
+    """The meta-graph from its definition, as (nodes, adj, index).
+
+    Nodes are the C of K with |C| <= c and |T(C)| >= k, in (size, lexicographic)
+    order; C joins every C-v when |T(C)| >= k+1; adjacency is sorted by index.
+    """
+    kside = sorted(model.clique_part)
+    nodes = [combo for size in range(min(c, len(kside)) + 1)
+             for combo in combinations(kside, size) if len(t_set(model, combo, c)) >= k]
+    index = {combo: i for i, combo in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for i, combo in enumerate(nodes):
+        if len(t_set(model, combo, c)) >= k + 1:
+            for pos in range(len(combo)):
+                j = index[combo[:pos] + combo[pos + 1:]]
+                adj[i].append(j)
+                adj[j].append(i)
+    for lst in adj:
+        lst.sort()
+    return nodes, adj, index
+
+
+def _materialised_path(meta, model, start, target):
+    """BFS over the reference graph's sorted adjacency, as node tuples."""
+    nodes, adj, index = meta
+    src = index[tuple(sorted(start & model.clique_part))]
+    dst = index[tuple(sorted(target & model.clique_part))]
     parent = {src: None}
     queue = deque([src])
     while queue:
@@ -39,10 +60,10 @@ def _materialised_path(model, c, k, start, target):
         if i == dst:
             path = []
             while i is not None:
-                path.append(meta.nodes[i])
+                path.append(nodes[i])
                 i = parent[i]
             return path[::-1]
-        for j in meta.adj[i]:
+        for j in adj[i]:
             if j not in parent:
                 parent[j] = i
                 queue.append(j)
@@ -56,13 +77,13 @@ def _tight(model, c, k):
 
 
 def _is_walk(meta, path):
-    steps = zip(path, path[1:])
-    return all(meta.index[b] in meta.adj[meta.index[a]] for a, b in steps)
+    _, adj, index = meta
+    return all(index[b] in adj[index[a]] for a, b in zip(path, path[1:]))
 
 
 def test_lazy_search_follows_materialised_order():
-    # at the tight floor the search keeps the materialised graph's order byte
-    # for byte; elsewhere the arithmetic path is a shortest walk in that graph
+    # at the tight floor the search keeps the reference graph's order byte for
+    # byte; elsewhere the arithmetic path is a shortest walk in that graph
     rng = random.Random(4242)
     cases = 0
     unreachable = 0
@@ -73,7 +94,8 @@ def test_lazy_search_follows_materialised_order():
         start = greedy_set(model, c, rng, target=rng.randint(0, n))
         target = greedy_set(model, c, rng, target=rng.randint(0, n))
         for k in range(min(len(start), len(target)) + 1):
-            want = _materialised_path(model, c, k, start, target)
+            meta = _reference_graph(model, c, k)
+            want = _materialised_path(meta, model, start, target)
             got = _meta_path(model, c, k, start, target)
             case = (sorted(model.clique_part), model.graph.adjacency, c, start, target, k)
             if _tight(model, c, k):
@@ -83,7 +105,7 @@ def test_lazy_search_follows_materialised_order():
             else:
                 assert got is not None and len(got) == len(want), case
                 assert got[0] == want[0] and got[-1] == want[-1], case
-                assert _is_walk(build_meta_graph(model, c, k), got), case
+                assert _is_walk(meta, got), case
             if start != target:
                 assert split_tar_reachable(model, c, start, target, k) == (want is not None)
             cases += 1

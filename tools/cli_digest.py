@@ -49,11 +49,13 @@ runs each guard and refusal once (``--max-n``, also lifted past the depth
 the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
 split engine's tight floor, the exact-coloring guard, ``--emit-sequence``
 without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
---rule`` and ``gen --p`` outside [0, 1]).  Its last four rows put a count
-past ``sys.maxsize`` in a header: an edge count, an intervals ``n:``, and an
-edges and a split ``n:``.  Its two sequences, a split tar witness off the
-tight floor and a split tj sequence, are replayed with ``verify``.  With the
-default 120 seeds the tool runs 7,979 commands.
+--rule`` and ``gen --p`` outside [0, 1]).  Four rows then put a count past
+``sys.maxsize`` in a header: an edge count, an intervals ``n:``, and an
+edges and a split ``n:``.  Its last three rows run one ``reduce`` of each
+kind (oct, isr, spr) that succeeds, so the reductions' output files are in
+the digest.  Its two sequences, a split tar witness off the tight floor and
+a split tj sequence, are replayed with ``verify``.  With the default 120
+seeds the tool runs 7,982 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -360,6 +362,10 @@ def malformed_corpus():
         solve(_sub(INTERVALS, "n: 3", "n: 100000000000000000000")),
         solve(_sub(EDGES, "n: 3", "n: 100000000000000000000")),
         solve(_sub(SPLIT, "n: 3", "n: 100000000000000000000")),
+        # one reduction of each kind that succeeds, appended last for the same reason
+        reduce("oct", "c: 3\nk: 1\n" + SOURCE),
+        reduce("isr", SOURCE + "I: 0\nI2: 2\n"),
+        reduce("spr", SPR_SOURCE),
     ]
 
 
