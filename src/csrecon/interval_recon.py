@@ -8,13 +8,15 @@ outside it.  If either set is locked in the whole graph no move applies at
 all.  All checks reduce to per-clique member counts, so the distance comes
 out in time linear in the model size.  An explicit shortest sequence takes
 O(n + t + d log d) for t cliques and d = |S Δ S2|, since its build sorts the
-difference four times; bucketing by clique index and sorting int keys were
-measured and gained too little for the code they cost.
+difference once by right end and each side's part once by left end;
+bucketing by clique index and sorting int keys were measured and gained too
+little for the code they cost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import InvariantError, check_sets, make_tracker
 from .instances import ReconSequence, tar_to_tj
@@ -76,10 +78,12 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
     large and unlocked within their shrinking union, and each later step
     settles one vertex of their symmetric difference.  A side at the floor
     first gains its smallest fitting vertex from the other's difference, at
-    most once per side since swaps keep sizes; then the side holding the
-    smaller right end (the target's on ties) swaps its smallest left end for
-    the other's vertex with that right end; then the start side gains or
-    sheds the rest.  The target side's steps are appended reversed, inverted.
+    most once per side since swaps keep sizes.  Then, while both differences
+    are nonempty, the unsettled vertex x with the smallest right end (the
+    target's on ties) is swapped into the side that lacks it: that side drops
+    its own unsettled vertex with the smallest left end and takes x.  Last,
+    the start side gains or sheds the rest.  The target side's steps are
+    appended reversed, inverted.
     """
     start = set(start)
     target = set(target)
@@ -101,32 +105,19 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
             out.append(("+", v))
             other_only.discard(v)
     lefts, rights = model.lefts, model.rights
-    by_r_a = sorted(zip(map(rights.__getitem__, a_only), a_only))
-    by_l_a = sorted(zip(map(lefts.__getitem__, a_only), a_only))
-    by_r_b = sorted(zip(map(rights.__getitem__, b_only), b_only))
-    by_l_b = sorted(zip(map(lefts.__getitem__, b_only), b_only))
-    ra = la = rb = lb = 0
-    while a_only and b_only:
-        while by_r_b[rb][1] not in b_only:
-            rb += 1
-        r_w, w = by_r_b[rb]
-        while by_r_a[ra][1] not in a_only:
-            ra += 1
-        r_v, v = by_r_a[ra]
-        if r_w <= r_v:
-            while by_l_a[la][1] not in a_only:
-                la += 1
-            u = by_l_a[la][1]
-            prefix += (("-", u), ("+", w))
-            a_only.discard(u)
-            b_only.discard(w)
-        else:
-            while by_l_b[lb][1] not in b_only:
-                lb += 1
-            u = by_l_b[lb][1]
-            suffix += (("-", u), ("+", v))
-            b_only.discard(u)
-            a_only.discard(v)
+    # each side's unsettled vertices in (left end, vertex) order
+    by_l_a, by_l_b = (filter(only.__contains__,
+                             [v for _, v in sorted(zip(map(lefts.__getitem__, only), only))])
+                      for only in (a_only, b_only))
+    sides = ((b_only, a_only, by_l_a, prefix), (a_only, b_only, by_l_b, suffix))
+    for _, side, x in sorted([*zip(map(rights.__getitem__, b_only), repeat(0), b_only),
+                              *zip(map(rights.__getitem__, a_only), repeat(1), a_only)]):
+        own, other, by_l, out = sides[side]
+        if x in own and other:
+            u = next(by_l)
+            out += (("-", u), ("+", x))
+            own.discard(x)
+            other.discard(u)
     prefix += [("+", v) for v in sorted(b_only)]
     prefix += [("-", v) for v in sorted(a_only)]
     prefix += [("-", v) if op == "+" else ("+", v) for op, v in reversed(suffix)]

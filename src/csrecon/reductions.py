@@ -218,18 +218,18 @@ def check_cocomp_order(g, order):
     Returns None when no positions a < b < c have order[a], order[c]
     adjacent while order[b] is adjacent to neither; such an order certifies
     that the graph is a co-comparability graph.  Otherwise returns the
-    violating triple.
+    violating triple.  Each a is paired only with its later neighbours.
     """
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InvariantError("order is not a permutation of the vertices")
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     nbrs = g.adjacency
-    for a in range(len(order)):
-        u = order[a]
-        for b in range(a + 2, len(order)):
+    for a, u in enumerate(order):
+        for b in sorted(pos[w] for w in nbrs[u] if pos[w] > a + 1):
             w = order[b]
-            if w not in nbrs[u]:
-                continue
             for mid in range(a + 1, b):
                 v = order[mid]
                 if v not in nbrs[u] and v not in nbrs[w]:

@@ -104,6 +104,21 @@ def test_exact_sequence_steps(e1_model, e5_model):
         [("+", 2), ("-", 0), ("+", 1), ("-", 2)]
 
 
+def test_swap_policy_exact_steps():
+    """The unsettled vertex with the smallest right end, S2's on ties, moves into the side
+    that lacks it, and that side drops its vertex with the smallest left end."""
+    # S2's vertex 1 ties S's vertex 3 at right end 1: the start side drops 3 (left end 1)
+    # and takes 1, then drops 0 for 2
+    model = model_from_intervals([(5, 5), (2, 3), (5, 5), (3, 3)])
+    assert shortest_tar_sequence(model, 1, {0, 3}, {1, 2}, 0).steps == \
+        [("-", 3), ("+", 1), ("-", 0), ("+", 2)]
+    # S's vertex 0 alone holds right end 1: the target side drops 1 (left end 1) and takes 0,
+    # appended last and inverted; then 2 and 3 tie at right end 4 and 3 goes in on the start side
+    model = model_from_intervals([(1, 2), (2, 4), (4, 6), (5, 7), (3, 3)])
+    assert shortest_tar_sequence(model, 1, {0, 2}, {1, 3}, 0).steps == \
+        [("-", 2), ("+", 3), ("-", 0), ("+", 1)]
+
+
 def test_witness_pair_of_every_verdict_case():
     """Draw small instances until every case occurs; check the (u, w) shape of each.
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -16,6 +17,7 @@ from csrecon import (
     spr_to_cocomp_csr,
 )
 from csrecon.core import make_tracker
+from csrecon.generators import random_graph
 
 from conftest import (
     all_graphs,
@@ -329,6 +331,42 @@ def test_check_cocomp_order_c4_exhaustive():
                for order in permutations(range(6)))
 
 
+def test_check_cocomp_order_matches_brute_force():
+    """The first umbrella triple of a scan over every position triple a < b < c, ordered
+    by a, then c, then b."""
+    def brute(g, order):
+        nbrs = g.adjacency
+        for a, c in combinations(range(len(order)), 2):
+            for b in range(a + 1, c):
+                u, v, w = order[a], order[b], order[c]
+                if w in nbrs[u] and v not in nbrs[u] and v not in nbrs[w]:
+                    return (u, v, w)
+        return None
+
+    rng = random.Random(23)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, p=rng.random())
+        order = list(range(n))
+        rng.shuffle(order)
+        expected = brute(g, order)
+        assert check_cocomp_order(g, order) == expected
+        found += expected is not None
+    assert found > 200
+
+
+def test_check_cocomp_order_scans_only_later_neighbours():
+    # the spr image of a 4,000-vertex path at c = 2 has 8,000 vertices, each with a
+    # handful of neighbours nearby in the order, so a scan of every position pair
+    # (32 million of them) does far more work than one of each vertex's later neighbours
+    n = 4000
+    out = spr_to_cocomp_csr(path_graph(n), 0, n - 1, list(range(n)), list(range(n)), 2)
+    start = time.perf_counter()
+    assert check_cocomp_order(out.graph, out.order) is None
+    assert time.perf_counter() - start < 0.25
+
+
 def test_check_cocomp_order_rejects_non_permutation():
     with pytest.raises(InvariantError):
         check_cocomp_order(path_graph(3), [0, 1])
@@ -338,7 +376,6 @@ def test_check_cocomp_order_rejects_non_permutation():
 
 def test_emitted_orders_always_pass():
     rng = random.Random(17)
-    from csrecon.generators import random_graph
     from csrecon.reductions import _bfs_dist
 
     checked = 0

@@ -43,7 +43,14 @@ benchmark's ``oracle_small`` workload (random graphs with edge probability
 0.4, greedy sets, k up to the smaller set's size).  Each goes through
 ``oracle --emit-sequence --out`` and ``verify``.
 
-A fifth, fixed corpus of malformed inputs holds one instance, sequence or
+A fifth, fixed corpus gives the interval sequence builder long symmetric
+differences: one seeded interval instance with n = LONG_N per c in
+{1, 2, 3} and rule (tar at k = 0, and tj), on coordinates up to
+LONG_COORD_MAX so that many endpoints are shared.  Each goes through
+``solve --emit-sequence --out`` and ``verify``; n exceeds the oracle's
+guard, so the oracle is not run.
+
+A sixth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
 runs each guard and refusal once (``--max-n``, also lifted past the depth
 the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
@@ -55,15 +62,15 @@ edges and a split ``n:``.  Its last three rows run one ``reduce`` of each
 kind (oct, isr, spr) that succeeds, so the reductions' output files are in
 the digest.  Its two sequences, a split tar witness off the tight floor and
 a split tj sequence, are replayed with ``verify``.  With the default 120
-seeds the tool runs 7,982 commands.
+seeds the tool runs 7,994 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
 directory masked) and the bytes of every file it writes; an exception that
 escapes ``main`` is recorded as a ``crash`` with its type and message, so the
 run always finishes.  The digest covers every record and the text of every
-case-, shape- and oracle-corpus instance.  With one tree, one ``crash:`` line
-per crash record follows the digest line, and the tool exits 1.
+case-, shape-, oracle- and long-corpus instance.  With one tree, one
+``crash:`` line per crash record follows the digest line, and the tool exits 1.
 """
 from __future__ import annotations
 
@@ -93,6 +100,8 @@ SHAPES = (
     [(-9, 10), (2, 3), (4, 5), (6, 7), (8, 9)],   # nested runs
 )
 SHAPE_DRAWS = 2
+LONG_N = 300
+LONG_COORD_MAX = 100
 
 
 def case_instances():
@@ -143,6 +152,17 @@ def oracle_instances():
     return [render_instance(random_edges_instance(
                 random.Random(f"oracle:{rule}:{c}:{i}"), ORACLE_N, c, rule=rule))
             for rule in RULES for c in (1, 2) for i in range(ORACLE_DRAWS)]
+
+
+def long_instances():
+    """Seeded n = LONG_N interval instances, one per c and rule, as csr/1 texts."""
+    from csrecon import render_instance
+    from csrecon.generators import random_interval_instance
+
+    return [render_instance(random_interval_instance(
+                random.Random(f"long:{rule}:{c}"), LONG_N, c, rule=rule, k=0,
+                coord_max=LONG_COORD_MAX, max_len=4))
+            for rule in ("tar", "tj") for c in (1, 2, 3)]
 
 
 EDGES = """\
@@ -377,7 +397,7 @@ def _trivial(path):
 
 
 def run_corpus(main, seeds, tmp):
-    """Run the seeded commands for seeds 0..seeds-1, then the four fixed corpora, in ``tmp``.
+    """Run the seeded commands for seeds 0..seeds-1, then the five fixed corpora, in ``tmp``.
 
     Returns the command count, the records as (key, bytes) pairs, the key
     being the command's argv with ``tmp`` masked, and the keys of the crashes.
@@ -445,12 +465,14 @@ def run_corpus(main, seeds, tmp):
         for i, text in enumerate(texts):
             base = write_instance(f"{name}-{i}", text)
             run_instance(base + ".csr", base, ("distance", base + ".csr"))
-    for i, text in enumerate(oracle_instances()):
-        base = write_instance(f"oracle-{i}", text)
-        seq = run("oracle", base + ".csr", "--emit-sequence", "--out", base + ".seq",
-                  writes=base + ".seq")
-        if seq is not None:
-            run("verify", base + ".csr", seq)
+    for name, command, texts in (("oracle", "oracle", oracle_instances()),
+                                 ("long", "solve", long_instances())):
+        for i, text in enumerate(texts):
+            base = write_instance(f"{name}-{i}", text)
+            seq = run(command, base + ".csr", "--emit-sequence", "--out", base + ".seq",
+                      writes=base + ".seq")
+            if seq is not None:
+                run("verify", base + ".csr", seq)
     for i, (argv, files) in enumerate(malformed_corpus()):
         paths = {name: os.path.join(tmp, f"bad-{i}.{name}") for name in (*files, "OUT")}
         for name, text in files.items():
