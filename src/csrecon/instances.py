@@ -1,6 +1,8 @@
 """The csr/1 instance and sequence file formats, plus sequence verification."""
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -18,6 +20,8 @@ from .core import (
 FORMAT_TAG = "csr/1"
 RULES = ("tar", "tj", "ts")
 REPRS = ("intervals", "edges", "split")
+# a pair body as render_instance writes it: two ASCII-digit tokens and one space a line
+_CANONICAL_PAIRS = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*")
 
 
 @dataclass
@@ -101,10 +105,10 @@ def check_instance(inst):
                       same_size=inst.rule in ("tj", "ts"))
 
 
-def _entries(text):
-    """(line number, content) of every line that holds more than a comment."""
-    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
-            if (line := (raw.partition("#")[0] if "#" in raw else raw).strip())]
+def _entries(numbered):
+    """(line number, content) of each (line number, raw line) that holds more than a comment."""
+    return ((lineno, line) for lineno, raw in numbered
+            if (line := (raw.partition("#")[0] if "#" in raw else raw).strip()))
 
 
 def _kv(entry):
@@ -175,6 +179,28 @@ def _pairs(chunk, vertex_count=None):
     return pairs
 
 
+class _Vertices(dict):
+    """Vertex names to ints, each converted once: an edge body repeats its names."""
+
+    def __missing__(self, token):
+        self[token] = vertex = int(token)
+        return vertex
+
+
+def _canonical_pairs(chunk, vertex_count=None):
+    """The pairs on ``chunk``'s raw lines, read in one pass; None unless the
+    lines are canonical and pass the checks of ``_pairs``."""
+    if not _CANONICAL_PAIRS.fullmatch(body := "\n".join(chunk)):
+        return None
+    try:  # int() refuses a token longer than sys.get_int_max_str_digits()
+        ints = list(map(int if vertex_count is None else _Vertices().__getitem__, body.split()))
+    except ValueError:
+        return None
+    ls, rs = ints[::2], ints[1::2]
+    ok = all(map(operator.le, ls, rs)) if vertex_count is None else max(ints) < vertex_count
+    return zip(ls, rs) if ok else None
+
+
 class _Fields(dict):
     """Trailing fields as (raw value, line number) by key; ``end`` is the last nonblank line."""
 
@@ -185,12 +211,14 @@ def parse_document(text):
     One pass reads the header up to and including ``body:``, the body (taken
     whole before it is parsed, so a short one is reported as ending early), and
     the trailing fields, kept raw for keys like reduction sources' I/I2/P/P2/s/t.
+    A canonical pair body is read in one pass, any other line by line.
     """
-    entries = _entries(text)
-    if not entries:
+    raw = text.splitlines()
+    numbered = enumerate(raw, start=1)
+    lines = _entries(numbered)
+    last = next(_entries(zip(range(len(raw), 0, -1), reversed(raw))), (0,))[0]
+    if not last:
         raise FormatError("empty instance text", 1)
-    first, last = entries[0][0], entries[-1][0]
-    lines = iter(entries)
     header = {}
     if not _read_fields(lines, header, stop="body"):
         raise FormatError("missing 'body:' section", last)
@@ -198,8 +226,8 @@ def parse_document(text):
         raise FormatError("'body:' takes no inline value", header["body"][1])
 
     def need(key):
-        if key not in header:
-            raise FormatError(f"missing '{key}:' before body", first)
+        if key not in header:  # the first field is on the first entry
+            raise FormatError(f"missing '{key}:' before body", next(iter(header.values()))[1])
         return header[key]
 
     fmt, lineno = need("format")
@@ -213,17 +241,25 @@ def parse_document(text):
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
 
+    def read_pairs(after, count, what, vertex_count=None):
+        """The ``count`` pairs on the lines after line ``after``."""
+        chunk = raw[after:after + count]
+        if len(chunk) < count or (pairs := _canonical_pairs(chunk, vertex_count)) is None:
+            return _pairs(_body_lines(lines, count, what, last), vertex_count)
+        next(islice(numbered, count, count), None)  # the entries resume after them
+        return pairs
+
     def read_graph():
         ((lineno, line),) = _body_lines(lines, 1, "edge count", last)
         m = _int(line, lineno, "edge count")
         if m < 0:
             raise FormatError("edge count must be nonnegative", lineno)
-        return Graph(n, _pairs(_body_lines(lines, m, "edges", last), n))
+        return Graph(n, read_pairs(lineno, m, "edges", n))
 
     endpoints = None
     try:
         if kind == "intervals":
-            endpoints = _pairs(_body_lines(lines, n, "interval endpoints", last))
+            endpoints = list(read_pairs(header["body"][1], n, "interval endpoints"))
             representation = model_from_intervals(endpoints)
         elif kind == "edges":
             representation = read_graph()
@@ -309,16 +345,16 @@ def render_sequence(seq):
 
 
 def parse_sequence(text):
-    entries = _entries(text)
-    if not entries:
+    entries = _entries(enumerate(text.splitlines(), start=1))
+    lineno, line = next(entries, (1, None))
+    if line is None:
         raise FormatError("empty sequence text", 1)
-    lineno, line = entries[0]
     key, colon, val = line.partition(":")
     if not colon or key.strip() != "start":
         raise FormatError("sequence must begin with 'start: ...'", lineno)
     start = set(_vertex_list(val.strip(), lineno))
     steps = []
-    for lineno, line in entries[1:]:
+    for lineno, line in entries:
         if ">" in line:  # before the sign test, since a swap may read "-1>2"
             u, _, v = line.partition(">")
             steps.append((">", _int(u.strip(), lineno, "vertex"),

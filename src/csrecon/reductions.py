@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Graph, InvariantError, SplitModel, bfs
+from .core import Graph, InvariantError, SplitModel, _NeighborMasks, bfs
 
 
 @dataclass
@@ -218,20 +218,24 @@ def check_cocomp_order(g, order):
     Returns None when no positions a < b < c have order[a], order[c]
     adjacent while order[b] is adjacent to neither; such an order certifies
     that the graph is a co-comparability graph.  Otherwise returns the
-    violating triple.  Each a is paired only with its later neighbours.
+    first violating triple.  Each a is paired only with its later neighbours.
     """
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InvariantError("order is not a permutation of the vertices")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    nbrs = g.adjacency
+    pos = sorted(range(g.n), key=order.__getitem__)  # pos[v]: v's place in order
+    near = [[pos[w] for w in g.adjacency[v]] for v in order]
+    # bit j of masks[a]: order[lows[a] + j] is adjacent to order[a]; a mask spans a's neighbours
+    lows = [min([a, *ps]) for a, ps in enumerate(near)]
+    masks = _NeighborMasks([[p - low for p in ps] for ps, low in zip(near, lows)])
     for a, u in enumerate(order):
-        for b in sorted(pos[w] for w in nbrs[u] if pos[w] > a + 1):
-            w = order[b]
-            for mid in range(a + 1, b):
-                v = order[mid]
-                if v not in nbrs[u] and v not in nbrs[w]:
-                    return (u, v, w)
+        later = sorted(p for p in near[a] if p > a)
+        if not later or len(later) == later[-1] - a:
+            continue  # u sees every position up to its last neighbour
+        # the positions before that neighbour that u does not see, bit j for a + 1 + j
+        unseen = ((1 << (later[-1] - a - 1)) - 1) & ~(masks[a] >> (a + 1 - lows[a]))
+        for c in later:
+            mids = unseen & ((1 << (c - a - 1)) - 1) & ~(masks[c] >> (a + 1 - lows[c]))
+            if mids:  # its lowest bit is the first middle position
+                return (u, order[a + (mids & -mids).bit_length()], order[c])
     return None

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from csrecon.generators import (
     random_interval_instance,
     random_split_instance,
 )
+from csrecon import instances
 from csrecon.cli import main
 from csrecon.instances import VerifyResult, parse_document
 
@@ -198,6 +200,111 @@ def test_interval_instance_without_endpoints_renders_its_runs(
         assert body == [f"{l} {r}" for l, r in zip(model.lefts, model.rights)]
         back = parse_instance(text).representation
         assert (back.t, back.lefts, back.rights) == (model.t, model.lefts, model.rights)
+
+
+def _parsed(inst):
+    """What a parse yields, in comparable form."""
+    rep = inst.representation
+    shape = (rep.t, rep.lefts, rep.rights) if inst.repr_kind == "intervals" else None
+    return render_instance(inst), inst.endpoints, shape
+
+
+def test_canonical_bodies_parse_like_the_per_line_path(monkeypatch):
+    """A body as render_instance writes it is read in one pass; a comment or a tab on
+    one of its lines sends it line by line, and both reads agree."""
+    per_line = []
+    real_pairs = instances._pairs
+    monkeypatch.setattr(instances, "_pairs",
+                        lambda chunk, *count: per_line.append(1) or real_pairs(chunk, *count))
+    rng = random.Random(77)
+    makers = {"intervals": random_interval_instance, "split": random_split_instance,
+              "edges": random_edges_instance}
+    for _ in range(150):
+        kind = rng.choice(sorted(makers))
+        inst = makers[kind](rng, rng.randint(1, 30), rng.randint(1, 3))
+        text = render_instance(inst)
+        lines = text.splitlines()
+        # the body's pair lines: after 'body:', a split body's K line and an edge count
+        first = lines.index("body:") + 1 + {"intervals": 0, "edges": 1, "split": 2}[kind]
+        count = inst.n if kind == "intervals" else int(lines[first - 1])
+        if not count:
+            continue
+        j = first + rng.randrange(count)
+        lines[j] = rng.choice([lines[j] + " # x", lines[j].replace(" ", "\t")])
+        per_line.clear()
+        fast = parse_instance(text)
+        assert not per_line
+        slow = parse_instance("\n".join(lines) + "\n")
+        assert per_line
+        assert _parsed(fast) == _parsed(slow) and fast.rule == slow.rule
+        assert (fast.c, fast.k, fast.start, fast.target) == (slow.c, slow.k, slow.start, slow.target)
+
+
+CANONICAL_EDGES = """\
+format: csr/1
+rule: tar
+c: 2
+k: 0
+repr: edges
+n: 4
+body:
+4
+0 1
+0 2
+1 2
+2 3
+S: 0
+S2: 3
+"""
+CANONICAL_SPLIT = CANONICAL_EDGES.replace("repr: edges", "repr: split").replace(
+    "body:\n", "body:\nK: 0 1 2\n")
+CANONICAL_INTERVALS = """\
+format: csr/1
+rule: tar
+c: 1
+k: 1
+repr: intervals
+n: 3
+body:
+1 1
+1 2
+2 2
+S: 0
+S2: 2
+"""
+LONG_TOKEN = "9" * 5000
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (CANONICAL_EDGES, "2 3\n", "2 4\n", "line 12: edge vertex out of range: 2 4"),
+    (CANONICAL_EDGES, "1 2\n", "1 1\n", "loop at vertex 1"),
+    (CANONICAL_EDGES, "2 3\n", "2 0\n", "parallel edge (0, 2)"),
+    (CANONICAL_EDGES, "2 3\n", f"2 {LONG_TOKEN}\n", "line 12: expected two integers (edge)"),
+    (CANONICAL_EDGES, "body:\n4", "body:\n5", "line 13: expected two integers (edge)"),
+    (CANONICAL_EDGES, "body:\n4", "body:\n9", "line 14: body ended early while reading edges"),
+    (CANONICAL_SPLIT, "2 3\n", "3 4\n", "line 13: edge vertex out of range: 3 4"),
+    (CANONICAL_SPLIT, "0 2\n", "2 2\n", "loop at vertex 2"),
+    (CANONICAL_SPLIT, "\n1 2\n", "\n1 0\n", "parallel edge (0, 1)"),
+    (CANONICAL_SPLIT, "\n4\n", "\n7\n", "line 15: body ended early while reading edges"),
+    (CANONICAL_INTERVALS, "1 2\n", "2 1\n", "line 9: malformed endpoint pair (2, 1)"),
+    (CANONICAL_INTERVALS, "2 2\n", f"2 {LONG_TOKEN}\n",
+     "line 10: expected two integers (interval endpoints)"),
+    (CANONICAL_INTERVALS, "n: 3", "n: 4", "line 11: expected two integers (interval endpoints)"),
+    (CANONICAL_INTERVALS, "n: 3", "n: 9",
+     "line 12: body ended early while reading interval endpoints"),
+], ids=["edges-range", "edges-loop", "edges-parallel", "edges-long-token", "edges-count-past-body",
+        "edges-count-past-text", "split-range", "split-loop", "split-parallel",
+        "split-count-past-text", "intervals-reversed", "intervals-long-token",
+        "intervals-n-past-body", "intervals-n-past-text"])
+def test_malformed_canonical_bodies_keep_their_messages(text, old, new, message):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7 and later
+    if LONG_TOKEN in new and not 0 < limit < len(LONG_TOKEN):
+        pytest.skip("this interpreter converts a 5,000-digit token")
+    parse_instance(text)
+    assert old in text
+    with pytest.raises(FormatError) as info:
+        parse_instance(text.replace(old, new, 1))
+    assert str(info.value) == message
 
 
 def test_extra_trailing_keys_are_preserved_for_sources():

@@ -367,6 +367,15 @@ def test_check_cocomp_order_scans_only_later_neighbours():
     assert time.perf_counter() - start < 0.25
 
 
+def test_check_cocomp_order_is_fast_on_a_complete_graph():
+    # all 79,800 position pairs are adjacent and no middle position is unseen, so
+    # a scan of each pair's middle positions does cubic work (0.4 s at n = 400)
+    g = complete_graph(400)
+    start = time.perf_counter()
+    assert check_cocomp_order(g, list(range(400))) is None
+    assert time.perf_counter() - start < 0.1
+
+
 def test_check_cocomp_order_rejects_non_permutation():
     with pytest.raises(InvariantError):
         check_cocomp_order(path_graph(3), [0, 1])

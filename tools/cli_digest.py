@@ -58,11 +58,15 @@ split engine's tight floor, the exact-coloring guard, ``--emit-sequence``
 without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
 --rule`` and ``gen --p`` outside [0, 1]).  Four rows then put a count past
 ``sys.maxsize`` in a header: an edge count, an intervals ``n:``, and an
-edges and a split ``n:``.  Its last three rows run one ``reduce`` of each
-kind (oct, isr, spr) that succeeds, so the reductions' output files are in
-the digest.  Its two sequences, a split tar witness off the tight floor and
-a split tj sequence, are replayed with ``verify``.  With the default 120
-seeds the tool runs 7,994 commands.
+edges and a split ``n:``.  Three rows run one ``reduce`` of each kind (oct,
+isr, spr) that succeeds, so the reductions' output files are in the digest.
+Its last seven rows put one malformed pair in a body otherwise written as
+``render_instance`` writes it: an edge end out of range, a loop, a parallel
+edge, an edge count past the lines left, an interval with l > r, and a
+5,000-digit token in an edges and in an intervals body.  Its two sequences,
+a split tar witness off the tight floor and a split tj sequence, are
+replayed with ``verify``.  With the default 120 seeds the tool runs 8,001
+commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -264,6 +268,7 @@ def malformed_corpus():
     ts = _sub(INTERVALS, "rule: tar", "rule: ts")
     tj_pair = _sub(INTERVALS, "rule: tar", "rule: tj", "S: 0\n", "S: 0 2\n", "S2: 2", "S2: 0 2")
     many = " ".join(map(str, range(65)))
+    long_token = "9" * 5000  # past int()'s default limit of 4,300 digits
     # 1,200 disjoint points at c = 1 and k = n: the one state lies 1,200 additions deep
     everything = " ".join(map(str, range(1200)))
     deep = _sub(INTERVALS, "k: 1", "k: 1200", "n: 3", "n: 1200",
@@ -386,6 +391,15 @@ def malformed_corpus():
         reduce("oct", "c: 3\nk: 1\n" + SOURCE),
         reduce("isr", SOURCE + "I: 0\nI2: 2\n"),
         reduce("spr", SPR_SOURCE),
+        # malformed pairs in bodies otherwise as render_instance writes them, which a
+        # one-pass reader takes whole, appended last for the same reason
+        solve(_sub(SPLIT, "\n1 2\n", "\n1 3\n")),
+        solve(_sub(SPLIT, "\n1 2\n", "\n2 2\n")),
+        solve(_sub(SPLIT, "\n1 2\n", "\n1 0\n")),
+        solve(_sub(SPLIT, "K: 0 1\n2\n", "K: 0 1\n9\n")),
+        solve(_sub(INTERVALS, "2 2\n", "3 2\n")),
+        solve(_sub(EDGES, "1 2\n", f"1 {long_token}\n")),
+        solve(_sub(INTERVALS, "2 2\n", f"2 {long_token}\n")),
     ]
 
 
