@@ -70,7 +70,7 @@ def _solve_oracle(inst, args, emit):
     dist, seq = oracle_distance(
         inst.representation, inst.c, inst.start, inst.target,
         k=inst.k, rule=inst.rule,
-        max_n=args.max_n, max_states=args.max_states)
+        max_n=args.max_n, max_states=args.max_states, trackers=inst.take_trackers())
     if dist == math.inf:
         print("unreachable")
         return EXIT_UNREACHABLE

@@ -391,8 +391,8 @@ class _SplitTracker:
 class _ExactTracker:
     """A set of a plain graph with a proper coloring kept as class bitmasks.
 
-    ``can_add(v)`` recolors only when v sees every color, in linear time for
-    c <= 2 and by backtracking for c >= 3, and keeps the coloring it finds;
+    ``can_add(v)`` recolors only when v sees every color and c >= 2, in linear
+    time for c = 2 and by backtracking for c >= 3, and keeps the coloring it finds;
     the start set is colored on first use.
     """
 
@@ -402,15 +402,16 @@ class _ExactTracker:
         self.c = c
         self.members = set(members)
         self.classes = None     # coloring of the members; None until needed, or if none
+        self.guard = max(DEFAULT_EXACT_LIMIT, c)
 
     def colorable(self):
-        if self.classes is None or len(self.members) > max(DEFAULT_EXACT_LIMIT, self.c):
+        if self.classes is None or len(self.members) > self.guard:
             self.classes = _exact_classes(self.g, self.members, self.c)  # raises past the guard
         return self.classes is not None
 
     def can_add(self, v):
         members = self.members
-        if len(members) >= max(DEFAULT_EXACT_LIMIT, self.c):  # past the guard: answer or raise
+        if len(members) >= self.guard:  # past the guard: answer or raise
             return _exact_classes(self.g, members | {v}, self.c) is not None
         if self.classes is None and not self.colorable():
             return False
@@ -418,10 +419,11 @@ class _ExactTracker:
         for cls in self.classes:
             if not cls & seen:
                 return True
-        classes = _exact_classes(self.g, members | {v}, self.c)
-        if classes is not None:
+        # at c = 1 the coloring is unique, so no recoloring frees a class for v
+        classes = self.c > 1 and _exact_classes(self.g, members | {v}, self.c)
+        if classes:
             self.classes = [cls & ~(1 << v) for cls in classes]
-        return classes is not None
+        return bool(classes)
 
     def add(self, v):
         self.members.add(v)

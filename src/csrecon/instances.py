@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -132,11 +133,19 @@ def _read_fields(lines, fields, stop=None):
     return False
 
 
+def _quoted(tok):
+    """``tok`` quoted for a message; past int()'s digit limit, cut short and the limit named."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0, or absent: no limit
+    if not limit or len(tok) <= limit:
+        return f"'{tok}'"
+    return f"'{tok[:20]}…' ({len(tok)} characters; int() reads at most {limit} digits)"
+
+
 def _int(val, lineno, what):
     try:
         return int(val)
     except ValueError:
-        raise FormatError(f"{what} must be an integer, got '{val}'", lineno) from None
+        raise FormatError(f"{what} must be an integer, got {_quoted(val)}", lineno) from None
 
 
 def _vertex_list(val, lineno):
@@ -148,7 +157,7 @@ def _vertex_list(val, lineno):
             try:
                 int(tok)
             except ValueError:
-                raise FormatError(f"bad vertex '{tok}'", lineno) from None
+                raise FormatError(f"bad vertex {_quoted(tok)}", lineno) from None
 
 
 def _body_lines(lines, count, what, last):

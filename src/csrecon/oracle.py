@@ -35,20 +35,20 @@ class StateSpace:
     rep: object
     rule: str
 
-    def neighbours(self, i):
-        """The indices, ascending, of the states one step from state ``i``.
-
-        tar flips one bit; tj swaps a member for a nonmember; ts makes the
-        same swap only along an edge.
-        """
-        mask, n = self.states[i], self.rep.n
+    @cached_property
+    def moves(self):
+        """XOR masks of one step: a vertex under tar, a vertex pair under tj, an edge under ts."""
         if self.rule == "tar":
-            moves = (mask ^ 1 << v for v in range(n))
-        else:
-            moves = (mask ^ (1 << u | 1 << v) for u in range(n) if mask >> u & 1
-                     for v in range(n) if not mask >> v & 1
-                     and (self.rule == "tj" or self.rep.has_edge(u, v)))
-        return sorted(j for j in map(self.index.get, moves) if j is not None)
+            return [1 << v for v in range(self.rep.n)]
+        return [1 << u | 1 << v for u in range(self.rep.n) for v in range(u + 1, self.rep.n)
+                if self.rule == "tj" or self.rep.has_edge(u, v)]
+
+    def neighbours(self, i):
+        """The indices, ascending, of the states one step from state ``i``; a swap of two
+        members or two nonmembers changes the size under tj and ts, so it finds no state."""
+        index = self.index
+        return sorted(map(index.__getitem__,
+                          filter(index.__contains__, map(self.states[i].__xor__, self.moves))))
 
     @cached_property
     def adj(self):
@@ -58,36 +58,43 @@ class StateSpace:
 def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
     """All colorable vertex sets, as bitmasks (bit v for member v), in lexicographic order.
 
-    One feasibility tracker follows a walk that adds vertices in ascending
-    order and records each set before its extensions, which is already
-    lexicographic order.  Colorable sets are closed under taking subsets, so
-    a vertex that does not fit a set fits none of its supersets: each node
-    tests its candidates once and hands its children only the later ones
-    that fitted.  A branch is also cut once its candidates can no longer
-    reach the size floor, and never grows past the exact size, so a high
-    floor prunes most of the search too (the edgeless 20-vertex graph at tar
-    k=20 takes 210 ``can_add`` tests).
+    One feasibility tracker follows a walk that adds vertices in ascending order and
+    records each set before its extensions, which is already lexicographic order.
+    Colorable sets are closed under taking subsets, so a vertex that does not fit a set
+    fits none of its supersets: each node tests its candidates once and hands its
+    children only the later ones that fitted; the last fit has none, so its set is
+    recorded without a call.  A branch is also cut once its candidates can no longer
+    reach the size floor, and never grows past the exact size, so a high floor prunes
+    most of the search too (the edgeless 20-vertex graph at tar k=20 takes 210
+    ``can_add`` tests).
     """
     masks = []
     tracker = make_tracker(g_or_model, (), c)
+    record, can_add, add, remove = masks.append, tracker.can_add, tracker.add, tracker.remove
     floor = min_size if exact_size is None else max(min_size, exact_size)
+    too_many = (f"oracle guard: state count exceeds max_states={max_states}; "
+                "raise max_states (--max-states) to override")
 
     def grow(mask, size, candidates):
         if size >= floor:
-            masks.append(mask)
+            record(mask)
             if max_states is not None and len(masks) > max_states:
-                raise ResourceLimitError(
-                    f"oracle guard: state count exceeds max_states={max_states}; "
-                    "raise max_states (--max-states) to override")
+                raise ResourceLimitError(too_many)
         if size == exact_size:
             return
-        fits = [v for v in candidates if tracker.can_add(v)]
+        fits = list(filter(can_add, candidates))
         # adding fits[i] leaves len(fits) - i - 1 candidates, which must reach the floor
-        for i in range(len(fits) - max(0, floor - size - 1)):
+        stop = len(fits) - max(0, floor - size - 1)
+        leaf = stop == len(fits) > 0    # the last fit has no later candidates: record it here
+        for i in range(stop - leaf):
             v = fits[i]
-            tracker.add(v)
+            add(v)
             grow(mask | 1 << v, size + 1, fits[i + 1:])
-            tracker.remove(v)
+            remove(v)
+        if leaf:
+            record(mask | 1 << fits[-1])
+            if max_states is not None and len(masks) > max_states:
+                raise ResourceLimitError(too_many)
 
     grow(0, 0, range(g_or_model.n))
     return masks
@@ -111,7 +118,7 @@ def build_state_space(g_or_model, c, size, rule, max_n=DEFAULT_MAX_N, max_states
     except RecursionError:
         raise ResourceLimitError(
             f"oracle guard: n={n} nests the enumeration too deep; lower max_n") from None
-    return StateSpace(states, {mask: i for i, mask in enumerate(states)}, g_or_model, rule)
+    return StateSpace(states, dict(zip(states, range(len(states)))), g_or_model, rule)
 
 
 def _steps_between(prev, nxt, rule):
@@ -122,13 +129,15 @@ def _steps_between(prev, nxt, rule):
 
 
 def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
-                    max_n=DEFAULT_MAX_N, max_states=None):
+                    max_n=DEFAULT_MAX_N, max_states=None, trackers=None):
     """Exact shortest distance and a shortest sequence, by BFS from the start side.
 
     Returns ``(distance, sequence)``; when the two sets lie in different
-    components the distance is ``math.inf`` and the sequence is None.
+    components the distance is ``math.inf`` and the sequence is None.  Given
+    the (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.
     """
-    check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
+    if not trackers:
+        check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
     space = build_state_space(g_or_model, c, k if rule == "tar" else len(start), rule,
                               max_n=max_n, max_states=max_states)
     src = space.index[sum(1 << v for v in start)]

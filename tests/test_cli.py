@@ -572,6 +572,27 @@ S2: 2
     assert code == 0 and capsys.readouterr().out.strip() == "2"
 
 
+def test_oracle_paths_validate_the_sets_once(tmp_path, capsys, monkeypatch):
+    # parsing validates S and S2; the oracle takes the trackers it built
+    # instead of running check_sets again
+    from csrecon import instances, oracle
+    calls = []
+    check_sets = core.check_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_sets(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "check_sets", counted)
+    monkeypatch.setattr(oracle, "check_sets", counted)
+    edges = _write(tmp_path, "e4.csr", E4)
+    assert main(["oracle", edges]) == 0 and capsys.readouterr().out.strip() == "5"
+    assert len(calls) == 1
+    ts = _write(tmp_path, "ts.csr", E1.replace("rule: tar", "rule: ts").replace("k: 1", "k: 0"))
+    assert main(["solve", ts]) == 0 and capsys.readouterr().out.strip() == "2"
+    assert len(calls) == 2
+
+
 def test_cli_digest_tool_runs_and_is_deterministic():
     # tools/cli_digest.py compares two checkouts; a digest that varied between
     # runs (an unmasked temporary path, say) would make that comparison useless

@@ -340,6 +340,29 @@ def test_sequence_parse_errors():
         parse_sequence("start: 0\nnope\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_instance, MINIMAL.replace("n: 3", f"n: {LONG_TOKEN}"), "line 6: n must be an integer, got "),
+    (parse_instance, MINIMAL.replace("S: 0", f"S: 0 {LONG_TOKEN}"), "line 11: bad vertex "),
+    (parse_sequence, f"start: 1 {LONG_TOKEN}\n", "line 1: bad vertex "),
+    (parse_sequence, f"start: 0\n+1\n0>{LONG_TOKEN}\n", "line 3: vertex must be an integer, got "),
+], ids=["header-n", "set-S", "sequence-start", "sequence-step"])
+def test_tokens_past_the_digit_limit_are_cut_short(parse, text, message):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7 and later
+    if not 0 < limit < len(LONG_TOKEN):
+        pytest.skip("this interpreter converts a 5,000-digit token")
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message + (
+        f"'{LONG_TOKEN[:20]}…' (5000 characters; int() reads at most {limit} digits)")
+
+
+def test_tokens_are_quoted_whole_without_a_digit_limit(monkeypatch):
+    # Python 3.10 builds before 3.10.7 have no sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert instances._quoted(LONG_TOKEN) == f"'{LONG_TOKEN}'"
+    assert instances._quoted("x") == "'x'"
+
+
 # --- verification ------------------------------------------------------------
 
 def _e1_instance():

@@ -331,6 +331,49 @@ def test_enumeration_backtracks_only_when_no_color_is_free(monkeypatch):
     assert calls <= 1
 
 
+def test_state_cap_fires_on_the_first_state_past_it():
+    # the walk records a set's last fit without a call of its own; the cap must
+    # fire there too.  Under tar at floor <= 1 the last state in lexicographic
+    # order is {n-1}, such a leaf, so max_states = N - 1 overflows on a leaf
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        rep = rng.choice([random_graph(rng, n, p=rng.random()), random_split_model(rng, n),
+                          model_from_intervals(random_endpoints(rng, n))])
+        c = rng.randint(1, 3)
+        for min_size, exact_size in ((0, None), (1, None), (2, None), (0, 1), (0, 2)):
+            full = enumerate_colorable_sets(rep, c, min_size, exact_size)
+            if not full:
+                continue
+            if exact_size is None and min_size <= 1:
+                assert full[-1] == 1 << n - 1
+            with pytest.raises(ResourceLimitError, match=f"max_states={len(full) - 1};"):
+                enumerate_colorable_sets(rep, c, min_size, exact_size, max_states=len(full) - 1)
+            assert enumerate_colorable_sets(rep, c, min_size, exact_size,
+                                            max_states=len(full)) == full
+
+
+def test_one_color_rejects_without_recoloring(monkeypatch):
+    # at c = 1 the coloring is unique: a vertex that sees a member is refused
+    # without running _exact_classes
+    calls = 0
+    exact_classes = core._exact_classes
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return exact_classes(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_exact_classes", counted)
+    rng = random.Random(61)
+    for _ in range(10):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, p=rng.random())
+        calls = 0
+        enumerate_colorable_sets(g, 1)
+        assert calls <= 1   # the empty start set's coloring
+
+
 def test_distance_and_report_enumerate_through_the_public_walker(monkeypatch):
     # a traced run wraps oracle.enumerate_colorable_sets; each oracle entry point
     # must reach the walk through that name, once
