@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, compress, count
+from operator import gt
 
 DEFAULT_EXACT_LIMIT = 64  # largest set the exact coloring backtracks over by default
 _NO_NEIGHBOURS = frozenset()  # shared by every isolated vertex of every Graph
@@ -98,11 +99,15 @@ class _NeighborMasks(dict):
         self.adjacency = adjacency
 
     def __missing__(self, v):
-        adj = self.adjacency[v]
-        bits = bytearray(max(adj, default=-1) // 8 + 1)   # linear in n, unlike a running sum
-        for u in adj:
-            bits[u >> 3] |= 1 << (u & 7)
-        return self.setdefault(v, int.from_bytes(bits, "little"))
+        return self.setdefault(v, _bits(self.adjacency[v]))
+
+
+def _bits(members):
+    """The int with bit u set for each u in the list ``members``."""
+    bits = bytearray(max(members, default=-1) // 8 + 1)   # linear in n, unlike a running sum
+    for u in members:
+        bits[u >> 3] |= 1 << (u & 7)
+    return int.from_bytes(bits, "little")
 
 
 class IntervalModel:
@@ -177,33 +182,29 @@ def model_from_intervals(endpoints):
     """Build the clique-path model whose adjacency equals interval intersection.
 
     ``endpoints`` is a list of int pairs ``(left, right)`` with ``left <= right``.
-    One sweep over the right ends in coordinate order builds the whole path:
-    when some interval has started since the last clique closed, the current
-    right end closes clique t+1, every left end consumed in that step gets
-    t+1 in ``lefts``, and each right end gets the current t in ``rights``.
-    That rule closes exactly the maximal cliques, in path order, so no
-    containment filtering is needed.
+    One sweep over the distinct right-end coordinates in order builds the whole
+    path: when a left-end coordinate at or below the current one is unconsumed,
+    the current one closes clique t+1, which every left-end coordinate consumed
+    in that step opens.  That rule closes exactly the maximal cliques, in path
+    order, so no containment filtering is needed.  A vertex's run is read off
+    the cliques its two coordinates open and close.
     """
-    for v, (l, r) in enumerate(endpoints):
-        if l > r:
-            raise InvariantError(f"malformed endpoint pair for vertex {v}: ({l}, {r})")
-    n = len(endpoints)
-    # events encoded as coord*n + vertex: plain ints sort much faster than
-    # tuples, and floor division decodes exactly, negative coords included
-    by_left = sorted(l * n + v for v, (l, _) in enumerate(endpoints))
-    lefts = [0] * n
-    rights = [0] * n
+    ls = [l for l, _ in endpoints]
+    rs = [r for _, r in endpoints]
+    for v in compress(count(), map(gt, ls, rs)):  # reached only to name the first bad pair
+        raise InvariantError(f"malformed endpoint pair for vertex {v}: ({ls[v]}, {rs[v]})")
+    opens, closes = {}, {}  # coordinate -> clique index
+    starts = sorted(set(ls))
+    starts.append(float("inf"))  # above every right end, so the sweep needs no bounds test
     t = i = 0
-    for x in sorted(r * n + v for v, (_, r) in enumerate(endpoints)):
-        r = x // n
-        bound = (r + 1) * n
-        if i < n and by_left[i] < bound:
+    for r in sorted(set(rs)):
+        if starts[i] <= r:
             t += 1
-            while i < n and by_left[i] < bound:
-                lefts[by_left[i] % n] = t
+            while starts[i] <= r:
+                opens[starts[i]] = t
                 i += 1
-        rights[x - r * n] = t
-    return IntervalModel(t, lefts, rights)
+        closes[r] = t
+    return IntervalModel(t, list(map(opens.__getitem__, ls)), list(map(closes.__getitem__, rs)))
 
 
 def interval_clique_counts(model, members):
@@ -294,9 +295,9 @@ def check_sets(rep, c, start, target, k, same_size=False):
         raise InvariantError("threshold k must be nonnegative")
     n = rep.n
     for name, s in (("S", start), ("S2", target)):
-        for v in s:
-            if not 0 <= v < n:
-                raise InvariantError(f"{name}: vertex {v} out of range")
+        if s and not (0 <= min(s) and max(s) < n):
+            v = next(v for v in s if not 0 <= v < n)  # the first bad one, to name it
+            raise InvariantError(f"{name}: vertex {v} out of range")
     if len(start) < k or len(target) < k:
         raise InvariantError("threshold violated: |S| and |S2| must be at least k")
     trackers = []

@@ -1,11 +1,12 @@
 """The csr/1 instance and sequence file formats, plus sequence verification."""
 from __future__ import annotations
 
+import json
 import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 from .core import (
     FormatError,
@@ -23,6 +24,11 @@ RULES = ("tar", "tj", "ts")
 REPRS = ("intervals", "edges", "split")
 # a pair body as render_instance writes it: two ASCII-digit tokens and one space a line
 _CANONICAL_PAIRS = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*")
+# a sequence as render_sequence writes it, its vertices >= 0: all +v/-v steps or all u>v
+_CANONICAL_SEQUENCE = re.compile(r"start:(?: [0-9]+)*\n(?:(?:[+-][0-9]+\n)*|(?:[0-9]+>[0-9]+\n)*)")
+# canonical text as the inside of a JSON list of its ints, and as the signs of its +/- steps
+_COMMAS = str.maketrans({" ": ",", "\n": ",", ">": ",", "+": None, "-": None})
+_SIGNS = str.maketrans(dict.fromkeys("0123456789 \n"))
 
 
 @dataclass
@@ -201,8 +207,9 @@ def _canonical_pairs(chunk, vertex_count=None):
     lines are canonical and pass the checks of ``_pairs``."""
     if not _CANONICAL_PAIRS.fullmatch(body := "\n".join(chunk)):
         return None
-    try:  # int() refuses a token longer than sys.get_int_max_str_digits()
-        ints = list(map(int if vertex_count is None else _Vertices().__getitem__, body.split()))
+    try:  # int() refuses a token past sys.get_int_max_str_digits(), JSON also a leading zero
+        ints = (json.loads(f"[{body.translate(_COMMAS)}]") if vertex_count is None
+                else list(map(_Vertices().__getitem__, body.split())))
     except ValueError:
         return None
     ls, rs = ints[::2], ints[1::2]
@@ -354,6 +361,16 @@ def render_sequence(seq):
 
 
 def parse_sequence(text):
+    body = text[7:-1]  # after "start:" and the space or newline that ends it
+    try:  # JSON refuses a leading zero, and a token past int()'s digit limit
+        ints = _CANONICAL_SEQUENCE.fullmatch(text) and json.loads(f"[{body.translate(_COMMAS)}]")
+    except ValueError:
+        ints = None
+    if ints is not None:  # canonical text, read in one pass; any other is read line by line
+        size = text.count(" ", 0, text.index("\n"))  # the start line's vertex count
+        steps = (zip(repeat(">"), ints[size::2], ints[size + 1::2]) if ">" in body
+                 else zip(body.translate(_SIGNS), ints[size:]))
+        return ReconSequence(set(ints[:size]), list(steps))
     entries = _entries(enumerate(text.splitlines(), start=1))
     lineno, line = next(entries, (1, None))
     if line is None:

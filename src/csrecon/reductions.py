@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
-from .core import Graph, InvariantError, SplitModel, _NeighborMasks, bfs
+from .core import Graph, InvariantError, SplitModel, _bits, bfs
 
 
 @dataclass
@@ -224,18 +225,24 @@ def check_cocomp_order(g, order):
     if sorted(order) != list(range(g.n)):
         raise InvariantError("order is not a permutation of the vertices")
     pos = sorted(range(g.n), key=order.__getitem__)  # pos[v]: v's place in order
-    near = [[pos[w] for w in g.adjacency[v]] for v in order]
-    # bit j of masks[a]: order[lows[a] + j] is adjacent to order[a]; a mask spans a's neighbours
-    lows = [min([a, *ps]) for a, ps in enumerate(near)]
-    masks = _NeighborMasks([[p - low for p in ps] for ps, low in zip(near, lows)])
+
+    @cache
+    def mask_at(p):
+        """(low, mask): bit j set when order[low + j] sees order[p]; low = min(p, those)."""
+        ps = [pos[w] for w in g.adjacency[order[p]]]
+        low = min([p, *ps])
+        return low, _bits([q - low for q in ps])
+
     for a, u in enumerate(order):
-        later = sorted(p for p in near[a] if p > a)
+        later = sorted([p for w in g.adjacency[u] if (p := pos[w]) > a])
         if not later or len(later) == later[-1] - a:
             continue  # u sees every position up to its last neighbour
         # the positions before that neighbour that u does not see, bit j for a + 1 + j
-        unseen = ((1 << (later[-1] - a - 1)) - 1) & ~(masks[a] >> (a + 1 - lows[a]))
+        low, mask = mask_at(a)
+        unseen = ((1 << (later[-1] - a - 1)) - 1) & ~(mask >> (a + 1 - low))
         for c in later:
-            mids = unseen & ((1 << (c - a - 1)) - 1) & ~(masks[c] >> (a + 1 - lows[c]))
+            low, mask = mask_at(c)
+            mids = unseen & ((1 << (c - a - 1)) - 1) & ~(mask >> (a + 1 - low))
             if mids:  # its lowest bit is the first middle position
                 return (u, order[a + (mids & -mids).bit_length()], order[c])
     return None

@@ -304,6 +304,63 @@ def test_model_retains_two_ints_per_vertex():
 def test_model_rejects_reversed_pair():
     with pytest.raises(InvariantError):
         model_from_intervals([(3, 1)])
+    with pytest.raises(InvariantError) as info:
+        model_from_intervals([(0, 1), (3, 2), (5, 4)])
+    assert str(info.value) == "malformed endpoint pair for vertex 1: (3, 2)"
+
+
+def _key_encoded_model(endpoints):
+    """(t, lefts, rights) by the earlier sweep, whose events were plain ints coord*n + vertex."""
+    n = len(endpoints)
+    by_left = sorted(l * n + v for v, (l, _) in enumerate(endpoints))
+    lefts = [0] * n
+    rights = [0] * n
+    t = i = 0
+    for x in sorted(r * n + v for v, (_, r) in enumerate(endpoints)):
+        r = x // n
+        bound = (r + 1) * n
+        if i < n and by_left[i] < bound:
+            t += 1
+            while i < n and by_left[i] < bound:
+                lefts[by_left[i] % n] = t
+                i += 1
+        rights[x - r * n] = t
+    return t, lefts, rights
+
+
+def _drawn_endpoints(rng):
+    """Up to 14 intervals around a random origin, negative coordinates included; each
+    after the first may repeat, share an end with or nest inside an earlier one."""
+    origin = rng.randint(-12, 6)
+    endpoints = []
+    for _ in range(rng.randint(0, 14)):
+        how = rng.randrange(5) if endpoints else 4
+        l, r = rng.choice(endpoints) if endpoints else (0, 0)
+        if how == 0:
+            pass                                        # a duplicate
+        elif how == 1:
+            l, r = r, r + rng.randint(0, 4)             # starts where an earlier one ends
+        elif how == 2:
+            l, r = l - rng.randint(0, 4), l             # ends where an earlier one starts
+        elif how == 3:
+            l = rng.randint(l, r)                       # nested
+            r = rng.randint(l, r)
+        else:
+            l = origin + rng.randint(0, 12)
+            r = l + rng.randint(0, 6)
+        endpoints.append((l, r))
+    return endpoints
+
+
+def test_model_build_matches_the_key_encoded_sweep():
+    rng = random.Random(2718)
+    shapes = set()
+    for _ in range(2500):
+        endpoints = _drawn_endpoints(rng)
+        model = model_from_intervals(endpoints)
+        assert (model.t, model.lefts, model.rights) == _key_encoded_model(endpoints), endpoints
+        shapes.add((min(endpoints, default=(0, 0))[0] < 0, len(set(endpoints)) < len(endpoints)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _check_model_invariants(endpoints, model):
@@ -411,6 +468,16 @@ def test_check_sets_returns_trackers_of_both_sets():
                 others = [v for v in range(n) if v not in members]
                 assert tracker.colorable() and fresh.colorable()
                 assert [tracker.can_add(v) for v in others] == [fresh.can_add(v) for v in others]
+
+
+def test_check_sets_names_a_vertex_just_out_of_range():
+    g = Graph(4, [(0, 1)])
+    check_sets(g, 1, {0, 3}, {3}, 0)
+    for start, target, message in [({0, 4}, {2}, "S: vertex 4 out of range"),
+                                   ({0}, {-1, 2}, "S2: vertex -1 out of range")]:
+        with pytest.raises(InvariantError) as info:
+            check_sets(g, 1, start, target, 0)
+        assert str(info.value) == message
 
 
 def test_neighbor_masks_are_built_in_linear_time():

@@ -16,6 +16,7 @@ from csrecon import (
     ReconSequence,
     SplitModel,
     model_from_intervals,
+    oracle_distance,
     parse_instance,
     parse_sequence,
     render_instance,
@@ -211,7 +212,8 @@ def _parsed(inst):
 
 def test_canonical_bodies_parse_like_the_per_line_path(monkeypatch):
     """A body as render_instance writes it is read in one pass; a comment or a tab on
-    one of its lines sends it line by line, and both reads agree."""
+    one of its lines, or a leading zero in an intervals body, sends it line by line, and
+    both reads agree."""
     per_line = []
     real_pairs = instances._pairs
     monkeypatch.setattr(instances, "_pairs",
@@ -230,7 +232,8 @@ def test_canonical_bodies_parse_like_the_per_line_path(monkeypatch):
         if not count:
             continue
         j = first + rng.randrange(count)
-        lines[j] = rng.choice([lines[j] + " # x", lines[j].replace(" ", "\t")])
+        edits = [lines[j] + " # x", lines[j].replace(" ", "\t")]
+        lines[j] = rng.choice(edits + ["0" + lines[j]] * (kind == "intervals"))
         per_line.clear()
         fast = parse_instance(text)
         assert not per_line
@@ -338,6 +341,92 @@ def test_sequence_parse_errors():
         parse_sequence("+1\n")
     with pytest.raises(FormatError, match="bad step"):
         parse_sequence("start: 0\nnope\n")
+
+
+TAR_SEQUENCE = "start: 0 3\n+5\n+7\n-0\n-3\n"
+SWAP_SEQUENCE = "start: 0 3\n0>5\n3>7\n"
+TAR_STEPS = [("+", 5), ("+", 7), ("-", 0), ("-", 3)]
+SWAP_STEPS = [(">", 0, 5), (">", 3, 7)]
+LONG_STEP_MESSAGE = "line 3: vertex must be an integer, got "
+
+
+def _seeded_sequences(rng):
+    """Rendered sequences: the oracle's under each rule, then drawn step lists
+    with vertices up to 10^6, then an empty start with and without steps."""
+    for i in range(90):
+        rule = ("tar", "tj", "ts")[i % 3]
+        inst = random_edges_instance(rng, rng.randint(1, 8), rng.randint(1, 3), rule=rule)
+        _, seq = oracle_distance(inst.representation, inst.c, inst.start, inst.target,
+                                 inst.k, rule=rule)
+        yield render_sequence(seq or ReconSequence(set(inst.start), []))
+    for i in range(90):
+        top = rng.choice((9, 10 ** 6))
+        start = set(rng.sample(range(top + 1), rng.randint(0, 6)))
+        count = rng.choice((0, rng.randint(1, 40)))
+        if i % 2:
+            steps = [(rng.choice("+-"), rng.randint(0, top)) for _ in range(count)]
+        else:
+            steps = [(">", rng.randint(0, top), rng.randint(0, top)) for _ in range(count)]
+        yield render_sequence(ReconSequence(start, steps))
+    yield "start:\n"
+    yield "start:\n+0\n-0\n"
+    yield "start:\n0>1\n"
+
+
+def test_canonical_sequences_parse_like_the_per_line_path(monkeypatch):
+    """A sequence as render_sequence writes it is decoded in one pass and reads as the
+    per-line path reads it; hand-edited text goes line by line, with the same results
+    and messages (taken from the per-line parser and hard-coded here)."""
+    per_line = []
+    real_entries = instances._entries
+    monkeypatch.setattr(instances, "_entries",
+                        lambda numbered: per_line.append(1) or real_entries(numbered))
+
+    def line_by_line(text):  # a leading comment line sends any text line by line
+        return parse_sequence("# edited\n" + text)
+
+    texts = list(_seeded_sequences(random.Random(27)))
+    assert all(any(mark in text for text in texts) for mark in ("\n+", "\n-0\n", ">"))
+    for text in texts:
+        per_line.clear()
+        fast = parse_sequence(text)
+        assert not per_line, text
+        slow = line_by_line(text)
+        assert per_line
+        assert (fast.start, fast.steps) == (slow.start, slow.steps), text
+        assert render_sequence(fast) == text
+    # '-0' is how render_sequence writes the removal of vertex 0, so it stays canonical
+    per_line.clear()
+    assert parse_sequence(TAR_SEQUENCE).steps == TAR_STEPS and not per_line
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7 and later
+    edited = [
+        (TAR_SEQUENCE.replace("+7\n", "+7 # edited\n"), TAR_STEPS),
+        ("# edited\n" + SWAP_SEQUENCE, SWAP_STEPS),
+        (TAR_SEQUENCE.replace("+5", "+\t5"), TAR_STEPS),
+        (SWAP_SEQUENCE.replace("\n", "\r\n"), SWAP_STEPS),
+        (TAR_SEQUENCE.replace("+7", "+07"), TAR_STEPS),
+        (SWAP_SEQUENCE.replace("0>5", "-0>5"), SWAP_STEPS),
+        (TAR_SEQUENCE.replace("+5", "+ 5"), TAR_STEPS),
+        (TAR_SEQUENCE.replace("-3\n", "3>9\n"), TAR_STEPS[:3] + [(">", 3, 9)]),
+        (TAR_SEQUENCE + "\n", TAR_STEPS),
+        (SWAP_SEQUENCE[:-1], SWAP_STEPS),
+        ("# edited\n" + TAR_SEQUENCE.replace("-3", "*3"), "line 6: bad step '*3'"),
+    ]
+    if 0 < limit < len(LONG_TOKEN):
+        quoted = f"'{LONG_TOKEN[:20]}…' (5000 characters; int() reads at most {limit} digits)"
+        edited += [(SWAP_SEQUENCE.replace("3>7", f"3>{LONG_TOKEN}"), LONG_STEP_MESSAGE + quoted),
+                   (TAR_SEQUENCE.replace("+7", f"+{LONG_TOKEN}"), LONG_STEP_MESSAGE + quoted)]
+    for text, want in edited:
+        per_line.clear()
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as info:
+                parse_sequence(text)
+            assert str(info.value) == want
+        else:
+            seq = parse_sequence(text)
+            assert (seq.start, seq.steps) == ({0, 3}, want), text
+        assert per_line, text
 
 
 @pytest.mark.parametrize("parse, text, message", [

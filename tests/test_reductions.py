@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -365,6 +366,21 @@ def test_check_cocomp_order_scans_only_later_neighbours():
     start = time.perf_counter()
     assert check_cocomp_order(out.graph, out.order) is None
     assert time.perf_counter() - start < 0.25
+
+
+def test_check_cocomp_order_builds_masks_only_where_it_looks():
+    # every position of the spr image of a path sees all positions up to its last
+    # neighbour, so no mask is looked up; building masks and position lists for all
+    # 40,000 positions up front peaked at 9.5 MiB
+    n = 20000
+    out = spr_to_cocomp_csr(path_graph(n), 0, n - 1, list(range(n)), list(range(n)), 2)
+    tracemalloc.start()
+    try:
+        assert check_cocomp_order(out.graph, out.order) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_check_cocomp_order_is_fast_on_a_complete_graph():

@@ -60,13 +60,16 @@ without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
 ``sys.maxsize`` in a header: an edge count, an intervals ``n:``, and an
 edges and a split ``n:``.  Three rows run one ``reduce`` of each kind (oct,
 isr, spr) that succeeds, so the reductions' output files are in the digest.
-Its last seven rows put one malformed pair in a body otherwise written as
+Seven rows then put one malformed pair in a body otherwise written as
 ``render_instance`` writes it: an edge end out of range, a loop, a parallel
 edge, an edge count past the lines left, an interval with l > r, and a
-5,000-digit token in an edges and in an intervals body.  Its two sequences,
-a split tar witness off the tight floor and a split tj sequence, are
-replayed with ``verify``.  With the default 120 seeds the tool runs 8,001
-commands.
+5,000-digit token in an edges and in an intervals body.  Its last nine rows
+``verify`` sequences edited by hand away from the form ``render_sequence``
+writes: a comment, a tab, CRLF line ends, a leading zero, a signed zero in a
+swap, a space after a sign, a swap among +/- steps, a 5,000-digit token and a
+trailing blank line.  Its two sequences, a split tar witness off the tight
+floor and a split tj sequence, are replayed with ``verify``.  With the
+default 120 seeds the tool runs 8,010 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -400,6 +403,17 @@ def malformed_corpus():
         solve(_sub(INTERVALS, "2 2\n", "3 2\n")),
         solve(_sub(EDGES, "1 2\n", f"1 {long_token}\n")),
         solve(_sub(INTERVALS, "2 2\n", f"2 {long_token}\n")),
+        # hand-edited and malformed sequences, which the one-pass reader leaves to the
+        # line-by-line one, appended last for the same reason
+        verify("start: 0\n+2 # edited\n-0\n"),
+        verify("start: 0\n+\t2\n-0\n"),
+        verify("start: 0\r\n+2\r\n-0\r\n"),
+        verify("start: 0\n+02\n-0\n"),
+        verify("start: 0\n-0>1\n1>2\n", ts),
+        verify("start: 0\n+ 2\n-0\n"),
+        verify("start: 0\n+2\n-0\n2>1\n"),
+        verify(f"start: 0\n+2\n-{long_token}\n"),
+        verify("start: 0\n+2\n-0\n\n"),
     ]
 
 
