@@ -151,7 +151,7 @@ def _field(fields, key, what):
 def _cmd_reduce(args):
     if args.kind == "oct" and args.rule:
         raise InvariantError("--rule applies only to --kind isr and spr")
-    header, g, _, fields = parse_document(_read(args.source))
+    header, g, fields = parse_document(_read(args.source))
     if isinstance(g, SplitModel):
         g = g.graph
     if isinstance(g, IntervalModel):

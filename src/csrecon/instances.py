@@ -41,7 +41,7 @@ class Instance:
     k: int
     start: set
     target: set
-    # raw interval input kept so rendering reproduces the file body verbatim
+    # (l, r) pairs an interval instance was drawn from, rendered in place of its clique runs
     endpoints: list | None = None
     trackers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -222,7 +222,7 @@ class _Fields(dict):
 
 
 def parse_document(text):
-    """Split csr/1 text into (header, representation, endpoints, trailing fields).
+    """Split csr/1 text into (header, representation, trailing fields).
 
     One pass reads the header up to and including ``body:``, the body (taken
     whole before it is parsed, so a short one is reported as ending early), and
@@ -272,11 +272,10 @@ def parse_document(text):
             raise FormatError("edge count must be nonnegative", lineno)
         return Graph(n, read_pairs(lineno, m, "edges", n))
 
-    endpoints = None
     try:
         if kind == "intervals":
-            endpoints = list(read_pairs(header["body"][1], n, "interval endpoints"))
-            representation = model_from_intervals(endpoints)
+            representation = model_from_intervals(
+                list(read_pairs(header["body"][1], n, "interval endpoints")))
         elif kind == "edges":
             representation = read_graph()
         else:
@@ -295,12 +294,12 @@ def parse_document(text):
     fields = _Fields()
     fields.end = last
     _read_fields(lines, fields)
-    return header, representation, endpoints, fields
+    return header, representation, fields
 
 
 def parse_instance(text):
-    """Parse and validate a complete csr/1 instance."""
-    header, representation, endpoints, fields = parse_document(text)
+    """Parse and validate a complete csr/1 instance; its interval pairs are kept as the model."""
+    header, representation, fields = parse_document(text)
 
     def need_header(key):
         if key not in header:
@@ -316,7 +315,7 @@ def parse_instance(text):
         raise FormatError("missing 'S:' or 'S2:' after body", fields.end)
     start = set(_vertex_list(*fields["S"]))
     target = set(_vertex_list(*fields["S2"]))
-    inst = Instance(representation, rule, c, k, start, target, endpoints=endpoints)
+    inst = Instance(representation, rule, c, k, start, target)
     inst.trackers = check_instance(inst)
     return inst
 
@@ -328,7 +327,7 @@ def _set_line(key, members):
 
 
 def render_instance(inst):
-    """Canonical text form; parsing it back yields an equal instance."""
+    """Canonical text form; parsing it back yields the same model, rule, budgets and sets."""
     out = [
         f"format: {FORMAT_TAG}",
         f"rule: {inst.rule}",

@@ -148,12 +148,13 @@ def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
         return [src]
     rule = _MetaRule(model, c, k)
     low = max(0, k - rule.n_ind)
-    if 0 < low == c - 1 < len(rule.kside):
+    if tight := 0 < low == c - 1 < len(rule.kside):
         _check_budget(c, max_c)
+    if any(len(end) == c and rule.node_size(end) <= k for end in (src, dst)):
+        return None   # an end at level c with |T| = k has no meta edge, on any floor
+    if tight:
         parent = bfs(src, rule.neighbours, dst)
         return bfs_path(parent, dst) if dst in parent else None
-    if any(len(end) == c and rule.node_size(end) <= k for end in (src, dst)):
-        return None
     cur, path = set(src), [src]
     adds = iter(sorted(set(dst) - cur))
     for v in sorted(cur - set(dst)):

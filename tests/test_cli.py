@@ -314,6 +314,43 @@ def test_verify_command(tmp_path, capsys):
     assert "violation at step 0" in out and "threshold" in out
 
 
+HAND_INTERVALS = """\
+format: csr/1
+rule: tar
+c: 2
+k: 2
+repr: intervals
+n: 6
+body:
+# drawn by hand: negative and shared coordinates
+-5 -2
+-3 0
+-3 1
+0 0
+1 4      # shares 1 and 4
+4 4
+S: 0 1 3
+S2: 2 4 5
+"""
+
+
+def test_rendered_parse_answers_like_the_hand_written_file(tmp_path, capsys):
+    # a parsed intervals file renders its clique runs, not its coordinates: the two
+    # files hold the same model, so each answers alike and accepts the other's sequence
+    texts = {"hand": HAND_INTERVALS.replace("\n", "\r\n")}
+    texts["rendered"] = render_instance(parse_instance(texts["hand"]))
+    assert "-5 -2" not in texts["rendered"] and "\r" not in texts["rendered"]
+    paths = {name: _write(tmp_path, f"{name}.csr", text) for name, text in texts.items()}
+    answers = []
+    for name, path in paths.items():
+        assert main(["solve", path, "--emit-sequence", "--out", str(tmp_path / f"{name}.seq")]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] == "6\n"
+    for name, other in (("hand", "rendered"), ("rendered", "hand")):
+        assert main(["verify", paths[other], str(tmp_path / f"{name}.seq")]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a = str(tmp_path / "a.csr")
     b = str(tmp_path / "b.csr")

@@ -1,9 +1,11 @@
 """File formats: parsing, rendering, round trips, and sequence verification."""
 from __future__ import annotations
 
+import gc
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -25,7 +27,9 @@ from csrecon import (
     verify_sequence,
 )
 from csrecon.generators import (
+    greedy_set,
     random_edges_instance,
+    random_endpoints,
     random_interval_instance,
     random_split_instance,
 )
@@ -173,6 +177,8 @@ S2:
 
 
 def test_round_trip_is_identity_on_rendered_text():
+    # a parsed intervals body keeps only its model, so it renders as clique runs: from
+    # then on the text is fixed, and the runs are the drawn model's
     rng = random.Random(321)
     for _ in range(60):
         n = rng.randint(0, 10)
@@ -185,8 +191,38 @@ def test_round_trip_is_identity_on_rendered_text():
         else:
             inst = random_edges_instance(rng, n, c)
         text = render_instance(inst)
-        again = render_instance(parse_instance(text))
+        back = parse_instance(text)
+        assert back.endpoints is None
+        again = render_instance(back)
+        if kind == "interval":
+            rep, got = inst.representation, back.representation
+            assert (got.t, got.lefts, got.rights) == (rep.t, rep.lefts, rep.rights)
+            text = again
+            again = render_instance(parse_instance(text))
         assert text == again
+
+
+def test_parsed_interval_instance_holds_each_interval_once():
+    # shaped like the benchmark's 1e5 intervals at n = 20,000: coordinates up to 2n,
+    # runs of at most 6, two greedy c = 2 sets, tar at k = 0
+    n = 20_000
+    rng = random.Random(5)
+    endpoints = random_endpoints(rng, n, coord_max=2 * n, max_len=6)
+    model = model_from_intervals(endpoints)
+    start, target = greedy_set(model, 2, rng), greedy_set(model, 2, rng)
+    text = render_instance(Instance(model, "tar", 2, 0, start, target, endpoints=endpoints))
+    del endpoints, model, start, target
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = parse_instance(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 200 * n, retained / n
+    assert inst.endpoints is None
 
 
 def test_interval_instance_without_endpoints_renders_its_runs(
@@ -207,7 +243,7 @@ def _parsed(inst):
     """What a parse yields, in comparable form."""
     rep = inst.representation
     shape = (rep.t, rep.lefts, rep.rights) if inst.repr_kind == "intervals" else None
-    return render_instance(inst), inst.endpoints, shape
+    return render_instance(inst), shape
 
 
 def test_canonical_bodies_parse_like_the_per_line_path(monkeypatch):
@@ -323,7 +359,7 @@ body:
 I: 0 2
 I2: 0 2
 """
-    header, rep, _, fields = parse_document(text)
+    header, rep, fields = parse_document(text)
     assert "I" in fields and "I2" in fields
     assert rep.m == 2
 

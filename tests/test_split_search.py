@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import deque
 from itertools import combinations
+
+import pytest
 
 from csrecon import (
     Graph,
     Instance,
+    ResourceLimitError,
     SplitModel,
     isr_to_split_csr,
     split_tar_reachable,
@@ -218,6 +222,38 @@ def test_search_runs_only_at_the_tight_floor(monkeypatch):
     assert calls == []
     # off the tight floor only the masks of the ends' at most 2c clique vertices are built
     assert len(rules) == 2 and all(0 < len(rule.masks) <= 6 for rule in rules)
+
+
+def _isolated_end(size_k):
+    """K = 0..size_k-1 with c = 3 at the tight floor k = |I| + 2: the independent vertex z
+    sees exactly the clique triple D, so S2 = D + (I - z) has |T(D)| = k and no meta edge,
+    while S is two other clique vertices plus I."""
+    z, others = size_k, {size_k + 1: (3,), size_k + 2: (3, 4)}
+    edges = list(combinations(range(size_k), 2))
+    edges += [(z, v) for v in (0, 1, 2)]
+    edges += [(u, v) for u, seen in others.items() for v in seen]
+    model = SplitModel(Graph(size_k + 3, edges), set(range(size_k)))
+    independent = {z, *others}
+    return model, len(independent) + 2, {size_k - 2, size_k - 1} | independent, {0, 1, 2, *others}
+
+
+def test_tight_floor_isolated_end_needs_no_search(monkeypatch):
+    model, k, start, target = _isolated_end(5)
+    assert _tight(model, 3, k)
+    assert oracle_distance(model, 3, start, target, k=k)[0] == math.inf
+    assert not split_tar_reachable(model, 3, start, target, k, max_c=3)
+    with pytest.raises(ResourceLimitError):   # the --max-c refusal still comes first
+        split_tar_reachable(model, 3, start, target, k, max_c=2)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the tight-floor search ran")
+
+    monkeypatch.setattr(split_recon, "bfs", no_search)
+    model, k, start, target = _isolated_end(200)
+    began = time.perf_counter()
+    assert split_tar_reachable(model, 3, start, target, k, max_c=3) is False
+    assert split_tar_witness(model, 3, start, target, k, max_c=3) is None
+    assert time.perf_counter() - began < 0.05
 
 
 def _isr_pairs():

@@ -63,13 +63,15 @@ isr, spr) that succeeds, so the reductions' output files are in the digest.
 Seven rows then put one malformed pair in a body otherwise written as
 ``render_instance`` writes it: an edge end out of range, a loop, a parallel
 edge, an edge count past the lines left, an interval with l > r, and a
-5,000-digit token in an edges and in an intervals body.  Its last nine rows
+5,000-digit token in an edges and in an intervals body.  Nine rows then
 ``verify`` sequences edited by hand away from the form ``render_sequence``
 writes: a comment, a tab, CRLF line ends, a leading zero, a signed zero in a
 swap, a space after a sign, a swap among +/- steps, a 5,000-digit token and a
-trailing blank line.  Its two sequences, a split tar witness off the tight
-floor and a split tj sequence, are replayed with ``verify``.  With the
-default 120 seeds the tool runs 8,010 commands.
+trailing blank line.  Its last two rows run ``solve`` and ``solve
+--emit-sequence --out`` on a split instance at the tight floor whose target
+is an isolated meta node.  Its two sequences, a split tar witness off the
+tight floor and a split tj sequence, are replayed with ``verify``.  With the
+default 120 seeds the tool runs 8,012 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -214,6 +216,37 @@ K: 0 1
 1 2
 S: 0
 S2: 2
+"""
+# the split engine's tight floor k = |I| + c - 1 at c = 3: vertex 5 sees exactly the clique
+# triple 0 1 2, so S2's clique part has no meta edge and S2 is unreachable
+ISOLATED_END = """\
+format: csr/1
+rule: tar
+c: 3
+k: 5
+repr: split
+n: 8
+body:
+K: 0 1 2 3 4
+16
+0 1
+0 2
+0 3
+0 4
+1 2
+1 3
+1 4
+2 3
+2 4
+3 4
+5 0
+5 1
+5 2
+6 3
+7 3
+7 4
+S: 3 4 5 6 7
+S2: 0 1 2 6 7
 """
 SOURCE = """\
 format: csr/1
@@ -414,6 +447,10 @@ def malformed_corpus():
         verify("start: 0\n+2\n-0\n2>1\n"),
         verify(f"start: 0\n+2\n-{long_token}\n"),
         verify("start: 0\n+2\n-0\n\n"),
+        # an isolated end at the split engine's tight floor, which is refused before any
+        # search, appended last for the same reason
+        solve(ISOLATED_END),
+        solve(ISOLATED_END, "--emit-sequence", "--out", "OUT"),
     ]
 
 
