@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, filterfalse
 from operator import gt
 
 DEFAULT_EXACT_LIMIT = 64  # largest set the exact coloring backtracks over by default
@@ -511,4 +511,49 @@ def bfs_path(parent, node):
         path.append(node)
         node = parent[node]
     path.reverse()
+    return path
+
+
+def shortest_path(source, goal, neighbours):
+    """``bfs_path(bfs(source, neighbours, goal), goal)``, or None when ``goal`` is unreachable,
+    searched from both ends (Pohl's bidirectional search).  ``neighbours`` must be symmetric
+    and list a node's neighbours in the same order on every call.
+
+    Whole layers grow from whichever end has the smaller frontier until the ends meet.
+    First-discoverer BFS returns the shortest path whose nodes come first, compared node
+    by node from the source by their places in their predecessors' neighbour lists.  So
+    the path's first node on the goal side's complete layers is the first such node in
+    forward discovery order, and its prefix is that node's parent chain; from there each
+    step takes the first neighbour one layer nearer the goal.
+    """
+    if source == goal:
+        return [source]
+    parent, depth = {source: None}, {goal: 0}
+    front, back = [source], [goal]
+    while front and back:
+        layer = []
+        if len(front) <= len(back):
+            for node in front:
+                for nxt in filterfalse(parent.__contains__, neighbours(node)):
+                    parent[nxt] = node
+                    if nxt in depth:
+                        return _joined(parent, depth, nxt, neighbours)
+                    layer.append(nxt)
+            front = layer
+        else:
+            step = depth[back[0]] + 1
+            for node in back:
+                for nxt in filterfalse(depth.__contains__, neighbours(node)):
+                    depth[nxt] = step
+                    layer.append(nxt)
+            back = layer
+            if not parent.keys().isdisjoint(layer):   # met, and only now is the layer complete
+                return _joined(parent, depth, next(filter(depth.__contains__, front)), neighbours)
+    return None
+
+
+def _joined(parent, depth, meet, neighbours):
+    path = bfs_path(parent, meet)
+    for step in range(depth[meet] - 1, -1, -1):
+        path.append(next(nxt for nxt in neighbours(path[-1]) if depth.get(nxt) == step))
     return path

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker
+from .core import (InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker,
+                   shortest_path)
 from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
@@ -130,8 +131,9 @@ def _steps_between(prev, nxt, rule):
 
 def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                     max_n=DEFAULT_MAX_N, max_states=None, trackers=None):
-    """Exact shortest distance and a shortest sequence, by BFS from the start side.
+    """Exact shortest distance and a shortest sequence, by a search from both ends.
 
+    The sequence follows the path a BFS from the start side would find.
     Returns ``(distance, sequence)``; when the two sets lie in different
     components the distance is ``math.inf`` and the sequence is None.  Given
     the (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.
@@ -142,10 +144,9 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                               max_n=max_n, max_states=max_states)
     src = space.index[sum(1 << v for v in start)]
     dst = space.index[sum(1 << v for v in target)]
-    parent = bfs(src, space.neighbours, dst)
-    if dst not in parent:
+    path = shortest_path(src, dst, space.neighbours)
+    if path is None:
         return math.inf, None
-    path = bfs_path(parent, dst)
     steps = [_steps_between(space.states[path[i]], space.states[path[i + 1]], rule)
              for i in range(len(path) - 1)]
     return len(path) - 1, ReconSequence(set(start), steps)

@@ -11,8 +11,9 @@ outside C's common neighbourhood, so |T(C)| = n - popcount(AND of the graph's
 neighbour masks of C).  Below the budget, then, the nodes are the subsets on
 levels L = max(0, k - |I|) up to c - 1, one component whenever it spans two
 levels, so a meta path needs no search except at the tight floor
-k = |I| + c - 1.  There one breadth-first search generates neighbours on
-demand and stops as soon as the target node is discovered.  Extensions are
+k = |I| + c - 1.  There one search from both ends generates neighbours on
+demand, stops as soon as the ends meet or either end's component runs out,
+and returns the path a one-sided breadth-first search would.  Extensions are
 materialised only along the witness path.  For inspection only,
 ``build_meta_graph`` applies the search's own neighbour rule to every node,
 in (size, lexicographic) index order.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker
+from .core import InvariantError, ResourceLimitError, check_sets, make_tracker, shortest_path
 from .instances import ReconSequence
 
 DEFAULT_MAX_C = 3
@@ -138,7 +139,9 @@ def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
 
     Off the tight floor the path sheds S-side vertices in ascending order,
     first swapping in the next S2-side one whenever the level is L, then adds
-    the rest.  Both ends are nodes: the extension of S's clique part holds S.
+    the rest.  At it, ``shortest_path`` searches from both ends and returns the
+    one-sided breadth-first search's path.  Both ends are nodes: the extension
+    of S's clique part holds S.
     """
     start, target = set(start), set(target)
     check_sets(model, c, start, target, k)
@@ -153,8 +156,7 @@ def _meta_path(model, c, k, start, target, max_c=DEFAULT_MAX_C):
     if any(len(end) == c and rule.node_size(end) <= k for end in (src, dst)):
         return None   # an end at level c with |T| = k has no meta edge, on any floor
     if tight:
-        parent = bfs(src, rule.neighbours, dst)
-        return bfs_path(parent, dst) if dst in parent else None
+        return shortest_path(src, dst, rule.neighbours)
     cur, path = set(src), [src]
     adds = iter(sorted(set(dst) - cur))
     for v in sorted(cur - set(dst)):

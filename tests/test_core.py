@@ -19,8 +19,8 @@ from csrecon import (
     model_from_intervals,
     split_partition,
 )
-from csrecon import core
-from csrecon.core import bfs, bfs_path, make_tracker
+from csrecon import core, oracle
+from csrecon.core import bfs, bfs_path, make_tracker, shortest_path
 from csrecon.generators import greedy_set, random_endpoints, random_graph, random_split_model
 
 from conftest import (
@@ -628,3 +628,44 @@ def test_bfs_parents_goal_and_component():
     assert bfs_path(parent, 4) == [0, 1, 4]
     assert bfs(5, neighbours) == {5: None}
     assert bfs(0, neighbours, 5).keys() == {0, 1, 2, 3, 4}
+
+
+def test_shortest_path_is_the_one_sided_bfs_path():
+    # symmetric graphs with shuffled neighbour lists, the odd repeated entry, unreachable
+    # goals and source == goal: the search from both ends returns bfs's path or None
+    rng = random.Random(2929)
+    unreachable = same = long = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.1, 0.2, 0.35, 0.6]) * min(1, 8 / n)
+        graph = {v: [] for v in range(n)}
+        for u, v in combinations(range(n), 2):
+            if rng.random() < p:
+                graph[u] += [v] * rng.choice([1] * 19 + [2])
+                graph[v].append(u)
+        for nbrs in graph.values():
+            rng.shuffle(nbrs)
+        source, goal = rng.randrange(n), rng.randrange(n)
+        parent = bfs(source, graph.__getitem__, goal)
+        want = bfs_path(parent, goal) if goal in parent else None
+        assert shortest_path(source, goal, graph.__getitem__) == want, (graph, source, goal)
+        unreachable += want is None
+        same += source == goal
+        long += want is not None and len(want) > 6
+    assert unreachable > 1000 and same > 1000 and long > 100
+
+
+def test_shortest_path_meets_in_the_middle(monkeypatch):
+    # 2^16 tar states at c = 1 and a target 8 steps away: a one-sided search expands
+    # 14,894 states, the search from both ends only the layers up to half way
+    expanded = []
+    neighbours = oracle.StateSpace.neighbours
+
+    def counted(space, i):
+        expanded.append(i)
+        return neighbours(space, i)
+
+    monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
+    dist, seq = oracle.oracle_distance(Graph(16), 1, set(), set(range(8)), k=0)
+    assert dist == 8 and seq.steps == [("+", v) for v in range(8)]
+    assert len(expanded) <= 2_000

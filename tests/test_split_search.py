@@ -22,7 +22,7 @@ from csrecon import (
     verify_sequence,
 )
 from csrecon import split_recon
-from csrecon.core import bfs, bfs_path
+from csrecon.core import bfs, bfs_path, shortest_path
 from csrecon.generators import greedy_set, random_split_model
 from csrecon.oracle import oracle_distance
 from csrecon.split_recon import _meta_path, _MetaRule
@@ -194,9 +194,9 @@ def test_search_runs_only_at_the_tight_floor(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return bfs(*args, **kwargs)
+        return shortest_path(*args, **kwargs)
 
-    monkeypatch.setattr(split_recon, "bfs", counted)
+    monkeypatch.setattr(split_recon, "shortest_path", counted)
     for model, c, k, start, target in _arithmetic_cases(20_000, 1605):
         before = len(calls)
         _meta_path(model, c, k, start, target, max_c=5)
@@ -248,12 +248,45 @@ def test_tight_floor_isolated_end_needs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the tight-floor search ran")
 
-    monkeypatch.setattr(split_recon, "bfs", no_search)
+    monkeypatch.setattr(split_recon, "shortest_path", no_search)
     model, k, start, target = _isolated_end(200)
     began = time.perf_counter()
     assert split_tar_reachable(model, 3, start, target, k, max_c=3) is False
     assert split_tar_witness(model, 3, start, target, k, max_c=3) is None
     assert time.perf_counter() - began < 0.05
+
+
+def _free_triple(size_k):
+    """K = 0..size_k-1 with c = 3 at the tight floor k = |I| + 2: each triple through a 2-face
+    of D = {0, 1, 2}, other than D, is blocked by its own independent vertex, which sees exactly
+    that triple, so D's component is D and its three faces.  Returns the model, k, I and D."""
+    edges = list(combinations(range(size_k), 2))
+    blockers = [(a, b, v) for a, b in combinations(range(3), 2) for v in range(3, size_k)]
+    edges += [(size_k + i, u) for i, triple in enumerate(blockers) for u in triple]
+    model = SplitModel(Graph(size_k + len(blockers), edges), set(range(size_k)))
+    independent = set(range(size_k, model.n))
+    return model, len(independent) + 2, independent, {0, 1, 2}
+
+
+def test_tight_floor_free_triple_is_refused_from_both_ends():
+    # S's component holds nearly every node at levels 2 and 3, S2's holds four, so a
+    # one-sided search from S sweeps the large one; the search from both ends does not
+    model, k, independent, free = _free_triple(5)
+    assert model.n == 11 and _tight(model, 3, k)
+    start, target = {3, 4} | independent, free | independent
+    assert oracle_distance(model, 3, start, target, k=k)[0] == math.inf
+    assert not split_tar_reachable(model, 3, start, target, k, max_c=3)
+    model, k, independent, free = _free_triple(200)
+    start, target = {3, 4} | independent, free | independent
+    began = time.perf_counter()
+    assert split_tar_reachable(model, 3, start, target, k, max_c=3) is False
+    assert split_tar_witness(model, 3, start, target, k, max_c=3) is None
+    assert time.perf_counter() - began < 0.05
+    # a pair in the large component gets the one-sided search's path, byte for byte
+    far = {2, 40, 41} | independent
+    parent = bfs((3, 4), _MetaRule(model, 3, k).neighbours, (2, 40, 41))
+    path = _meta_path(model, 3, k, start, far, max_c=3)
+    assert path == bfs_path(parent, (2, 40, 41)) and len(path) == 6
 
 
 def _isr_pairs():

@@ -67,11 +67,13 @@ edge, an edge count past the lines left, an interval with l > r, and a
 ``verify`` sequences edited by hand away from the form ``render_sequence``
 writes: a comment, a tab, CRLF line ends, a leading zero, a signed zero in a
 swap, a space after a sign, a swap among +/- steps, a 5,000-digit token and a
-trailing blank line.  Its last two rows run ``solve`` and ``solve
+trailing blank line.  Two rows then run ``solve`` and ``solve
 --emit-sequence --out`` on a split instance at the tight floor whose target
-is an isolated meta node.  Its two sequences, a split tar witness off the
-tight floor and a split tj sequence, are replayed with ``verify``.  With the
-default 120 seeds the tool runs 8,012 commands.
+is an isolated meta node, and its last two rows do the same for a target
+that is a free triple, whose small component the search from both ends
+exhausts first.  Its two sequences, a split tar witness off the tight floor
+and a split tj sequence, are replayed with ``verify``.  With the default 120
+seeds the tool runs 8,014 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -247,6 +249,50 @@ K: 0 1 2 3 4
 7 4
 S: 3 4 5 6 7
 S2: 0 1 2 6 7
+"""
+# the same floor at n = 11: each triple other than 0 1 2 through one of its 2-faces is
+# blocked by its own independent vertex, so S2's meta component is 0 1 2 and its three
+# faces, far smaller than the component of S, and S2 is unreachable
+FREE_TRIPLE = """\
+format: csr/1
+rule: tar
+c: 3
+k: 8
+repr: split
+n: 11
+body:
+K: 0 1 2 3 4
+28
+0 1
+0 2
+0 3
+0 4
+0 5
+0 6
+0 7
+0 8
+1 2
+1 3
+1 4
+1 5
+1 6
+1 9
+1 10
+2 3
+2 4
+2 7
+2 8
+2 9
+2 10
+3 4
+3 5
+3 7
+3 9
+4 6
+4 8
+4 10
+S: 3 4 5 6 7 8 9 10
+S2: 0 1 2 5 6 7 8 9 10
 """
 SOURCE = """\
 format: csr/1
@@ -451,6 +497,10 @@ def malformed_corpus():
         # search, appended last for the same reason
         solve(ISOLATED_END),
         solve(ISOLATED_END, "--emit-sequence", "--out", "OUT"),
+        # a free triple at the tight floor, whose search runs from both ends, appended last
+        # for the same reason
+        solve(FREE_TRIPLE),
+        solve(FREE_TRIPLE, "--emit-sequence", "--out", "OUT"),
     ]
 
 
