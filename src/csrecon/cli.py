@@ -240,8 +240,8 @@ def _add_oracle_flags(sub):
     sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                      help="vertex-count guard for oracle search")
     sub.add_argument("--max-states", type=int, default=None,
-                     help="cap on enumerated states (default: none, or "
-                          f"{DEFAULT_REPORT_MAX_STATES} with --report)")
+                     help="cap on states the distance search finds, or --report enumerates "
+                          f"(default: none, or {DEFAULT_REPORT_MAX_STATES} with --report)")
 
 
 @cache

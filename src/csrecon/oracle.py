@@ -1,16 +1,16 @@
-"""Ground-truth engine: BFS over the graph of all colorable sets.
+"""Ground-truth engine: BFS over the graph of colorable sets.
 
-Only meant for desk-size instances.  The state space, the distance and the
-connectivity report are guarded by a vertex-count cap and a cap on the number
-of enumerated states, which is optional for distances and defaults to
-``DEFAULT_REPORT_MAX_STATES`` for the report, whose diameters take one BFS per
-state.  ``enumerate_colorable_sets`` has only the optional state cap.
+Only meant for desk-size instances.  Distances and the connectivity report have a
+vertex-count cap and a state cap, on the sets a distance search discovers (optional) or
+on those the report enumerates (``DEFAULT_REPORT_MAX_STATES`` by default, as its diameters
+take one BFS per state).  ``enumerate_colorable_sets`` has only the optional state cap.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, filterfalse
 
 from .core import (InvariantError, ResourceLimitError, bfs, bfs_path, check_sets, make_tracker,
                    shortest_path)
@@ -18,23 +18,32 @@ from .instances import ReconSequence
 
 DEFAULT_MAX_N = 20
 DEFAULT_REPORT_MAX_STATES = 1024
+_TOO_MANY = ("oracle guard: state count exceeds max_states={}; "
+             "raise max_states (--max-states) to override")
 
 
 @dataclass
 class StateSpace:
-    """All feasible sets under one rule, and that rule's one-step moves.
+    """The feasible sets under one rule, as int bitmasks (bit v for member v).
 
-    States are int bitmasks (bit v for member v) in lexicographic order of
-    their sorted members; ``index`` maps a mask to its position.  A distance
-    search asks ``neighbours`` only for the states it expands and stops at
-    the target; ``adj``, the whole adjacency, is built from the same rule on
-    first use.
+    Under tar the sets have at least ``size`` members, under tj and ts exactly
+    ``size``.  ``keys`` maps each feasible set found to its lexicographic place
+    and ``infeasible`` holds the sets refused, so no set is tested twice; one
+    ``tracker`` follows the tests.  Only the report enumerates ``states``, with
+    ``index`` a mask's position there, and reads ``adj``, the adjacency by index.
     """
 
-    states: list
-    index: dict
     rep: object
+    c: int
     rule: str
+    size: int
+    max_states: int = None   # a cap on the sets found
+    states: list = None
+    index: dict = None
+
+    def __post_init__(self):
+        self.keys, self.infeasible = {}, set()
+        self.tracker, self.held = make_tracker(self.rep, (), self.c), 0    # and the set it holds
 
     @cached_property
     def moves(self):
@@ -44,16 +53,48 @@ class StateSpace:
         return [1 << u | 1 << v for u in range(self.rep.n) for v in range(u + 1, self.rep.n)
                 if self.rule == "tj" or self.rep.has_edge(u, v)]
 
-    def neighbours(self, i):
-        """The indices, ascending, of the states one step from state ``i``; a swap of two
-        members or two nonmembers changes the size under tj and ts, so it finds no state."""
-        index = self.index
-        return sorted(map(index.__getitem__,
-                          filter(index.__contains__, map(self.states[i].__xor__, self.moves))))
+    def remember(self, mask):
+        """Key the feasible set ``mask`` by its place among all subsets in lexicographic order
+        of sorted members: |S| + 2^(n-1-x) per nonmember x < max(S)."""
+        keys, n = self.keys, self.rep.n
+        rev = int(format(mask, f"0{n}b")[::-1], 2)     # bit n-1-v for member v
+        keys[mask] = (1 << n) + mask.bit_count() - rev - (1 << n - mask.bit_length())
+        if self.max_states is not None and len(keys) > self.max_states:
+            raise ResourceLimitError(_TOO_MANY.format(self.max_states))
+
+    def neighbours(self, mask):
+        """The feasible sets one step from the feasible set ``mask``, in lexicographic order.
+
+        A set not yet known is tested once: a tar removal needs only the floor, and a set
+        that adds v is tested with ``can_add(v)`` on the tracker moved to its other members.
+        """
+        keys, infeasible = self.keys, self.infeasible
+        flips = list(map(mask.__xor__, self.moves))
+        if self.rule != "tar" or mask.bit_count() == self.size:    # keep the allowed sizes
+            fits = self.size.__le__ if self.rule == "tar" else self.size.__eq__
+            flips = list(compress(flips, map(fits, map(int.bit_count, flips))))
+        for new in filterfalse(infeasible.__contains__, filterfalse(keys.__contains__, flips)):
+            added = new & ~mask
+            if not added or self._tracker_at(mask & new).can_add(added.bit_length() - 1):
+                self.remember(new)
+            else:
+                infeasible.add(new)
+        return sorted(filter(keys.__contains__, flips), key=keys.__getitem__)
+
+    def _tracker_at(self, mask):
+        """The space's one tracker, moved from the set it held to ``mask`` by adds and removes."""
+        if mask != self.held:
+            for diff, move in ((self.held & ~mask, self.tracker.remove),
+                               (mask & ~self.held, self.tracker.add)):
+                while diff:
+                    move(diff.bit_length() - 1)
+                    diff ^= 1 << diff.bit_length() - 1
+            self.held = mask
+        return self.tracker
 
     @cached_property
     def adj(self):
-        return [self.neighbours(i) for i in range(len(self.states))]
+        return [list(map(self.index.__getitem__, self.neighbours(mask))) for mask in self.states]
 
 
 def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
@@ -73,14 +114,12 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
     tracker = make_tracker(g_or_model, (), c)
     record, can_add, add, remove = masks.append, tracker.can_add, tracker.add, tracker.remove
     floor = min_size if exact_size is None else max(min_size, exact_size)
-    too_many = (f"oracle guard: state count exceeds max_states={max_states}; "
-                "raise max_states (--max-states) to override")
 
     def grow(mask, size, candidates):
         if size >= floor:
             record(mask)
             if max_states is not None and len(masks) > max_states:
-                raise ResourceLimitError(too_many)
+                raise ResourceLimitError(_TOO_MANY.format(max_states))
         if size == exact_size:
             return
         fits = list(filter(can_add, candidates))
@@ -95,31 +134,31 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
         if leaf:
             record(mask | 1 << fits[-1])
             if max_states is not None and len(masks) > max_states:
-                raise ResourceLimitError(too_many)
+                raise ResourceLimitError(_TOO_MANY.format(max_states))
 
     grow(0, 0, range(g_or_model.n))
     return masks
 
 
-def build_state_space(g_or_model, c, size, rule, max_n=DEFAULT_MAX_N, max_states=None):
-    """The feasible sets under ``rule``; their moves are generated on demand.
-
-    Under tar the sets have at least ``size`` members, under tj and ts
-    exactly ``size``.  Only the connectivity report reads ``adj``.
-    """
-    n = g_or_model.n
+def _guard(n, rule, max_n):
     if n > max_n:
         raise ResourceLimitError(f"oracle guard: n={n} exceeds {max_n}; raise max_n to override")
-    tar = rule == "tar"
-    if not tar and rule not in ("tj", "ts"):
+    if rule not in ("tar", "tj", "ts"):
         raise InvariantError(f"unknown rule '{rule}'")
+
+
+def build_state_space(g_or_model, c, size, rule, max_n=DEFAULT_MAX_N, max_states=None):
+    """The state space with its sets enumerated, at most ``max_states`` of them."""
+    n = g_or_model.n
+    _guard(n, rule, max_n)
     try:  # the walk recurses once per member, so a lifted max_n can outgrow the stack
-        states = enumerate_colorable_sets(g_or_model, c, size if tar else 0,
-                                          None if tar else size, max_states)
+        states = enumerate_colorable_sets(g_or_model, c, size if rule == "tar" else 0,
+                                          None if rule == "tar" else size, max_states)
     except RecursionError:
         raise ResourceLimitError(
             f"oracle guard: n={n} nests the enumeration too deep; lower max_n") from None
-    return StateSpace(states, dict(zip(states, range(len(states)))), g_or_model, rule)
+    return StateSpace(g_or_model, c, rule, size, states=states,
+                      index=dict(zip(states, range(len(states)))))
 
 
 def _steps_between(prev, nxt, rule):
@@ -133,22 +172,23 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                     max_n=DEFAULT_MAX_N, max_states=None, trackers=None):
     """Exact shortest distance and a shortest sequence, by a search from both ends.
 
-    The sequence follows the path a BFS from the start side would find.
-    Returns ``(distance, sequence)``; when the two sets lie in different
-    components the distance is ``math.inf`` and the sequence is None.  Given
-    the (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.
+    Nothing is enumerated: the search tests only the sets it discovers, at most ``max_states``,
+    and follows the path a BFS from the start side would find.  Returns ``(distance,
+    sequence)``; when the two sets lie in different components the distance is ``math.inf``
+    and the sequence is None.  Given the (S, S2) ``trackers`` of an earlier validation, the
+    sets are not checked again.
     """
     if not trackers:
         check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
-    space = build_state_space(g_or_model, c, k if rule == "tar" else len(start), rule,
-                              max_n=max_n, max_states=max_states)
-    src = space.index[sum(1 << v for v in start)]
-    dst = space.index[sum(1 << v for v in target)]
+    _guard(g_or_model.n, rule, max_n)
+    space = StateSpace(g_or_model, c, rule, k if rule == "tar" else len(start), max_states)
+    src, dst = (sum(1 << v for v in s) for s in (start, target))
+    for mask in {src, dst}:
+        space.remember(mask)
     path = shortest_path(src, dst, space.neighbours)
     if path is None:
         return math.inf, None
-    steps = [_steps_between(space.states[path[i]], space.states[path[i + 1]], rule)
-             for i in range(len(path) - 1)]
+    steps = [_steps_between(path[i], path[i + 1], rule) for i in range(len(path) - 1)]
     return len(path) - 1, ReconSequence(set(start), steps)
 
 

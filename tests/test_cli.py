@@ -288,7 +288,8 @@ S2:
 
 
 def test_oracle_refuses_a_walk_too_deep_for_the_stack(tmp_path):
-    # 1,200 disjoint points at c = 1 and k = n: the one state lies 1,200 additions deep
+    # 1,200 disjoint points at c = 1 and k = n: the report's walk finds the one state
+    # 1,200 additions deep
     n = 1200
     members = " ".join(map(str, range(n)))
     body = "\n".join(f"{2 * v} {2 * v}" for v in range(n))
@@ -297,10 +298,14 @@ def test_oracle_refuses_a_walk_too_deep_for_the_stack(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "csrecon.cli", "oracle", inst, "--max-n", "2000"],
-                          capture_output=True, text=True, env=env)
+    command = [sys.executable, "-m", "csrecon.cli", "oracle", inst, "--max-n", "2000"]
+    proc = subprocess.run([*command, "--report"], capture_output=True, text=True, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "oracle guard" in proc.stderr and "Traceback" not in proc.stderr
+    # a distance searches from S = S2 and walks nothing
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_command(tmp_path, capsys):

@@ -72,9 +72,10 @@ def test_vertex_guard():
 
 
 def test_state_cap():
+    # the target lies five additions away, so the search discovers more than five states
     g = Graph(10)
-    with pytest.raises(ResourceLimitError):
-        oracle_distance(g, 1, set(), set(), k=0, rule="tar", max_states=5)
+    with pytest.raises(ResourceLimitError, match="max_states=5;"):
+        oracle_distance(g, 1, set(), set(range(5)), k=0, rule="tar", max_states=5)
 
 
 def test_pruned_enumeration_equals_filtered_full_enumeration():
@@ -140,9 +141,9 @@ def test_oracle_sequences_replay():
     assert reached >= 200
 
 
-def test_size_floor_bounds_enumeration_work(monkeypatch):
-    # edgeless n=16 at tar k=16 keeps one state; the search must not visit 2^16 sets
-    calls = 0
+def _count_can_add(monkeypatch):
+    """A one-item list counting the ``can_add`` calls of every tracker the oracle makes."""
+    calls = [0]
     make_tracker = oracle.make_tracker
 
     def counting(*args, **kwargs):
@@ -150,60 +151,50 @@ def test_size_floor_bounds_enumeration_work(monkeypatch):
         can_add = tracker.can_add
 
         def counted(v):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return can_add(v)
 
         tracker.can_add = counted
         return tracker
 
     monkeypatch.setattr(oracle, "make_tracker", counting)
-    everything = set(range(16))
-    dist, _ = oracle_distance(Graph(16), 1, everything, everything, k=16, rule="tar")
-    assert dist == 0
-    assert calls <= 16 * 16
+    return calls
+
+
+def test_size_floor_bounds_enumeration_work(monkeypatch):
+    # edgeless n=16 at tar k=16 keeps one state; the walk must not visit 2^16 sets
+    calls = _count_can_add(monkeypatch)
+    space = build_state_space(Graph(16), 1, 16, "tar")
+    assert space.states == [2 ** 16 - 1]
+    assert 0 < calls[0] <= 16 * 16
 
 
 def test_rejected_vertex_is_not_tested_again_below(monkeypatch):
     # star K_{1,11} at c=1: the centre fits only the empty set, so once a leaf
     # is in, no set further down the walk may test the centre again
-    calls = 0
-    make_tracker = oracle.make_tracker
-
-    def counting(*args, **kwargs):
-        tracker = make_tracker(*args, **kwargs)
-        can_add = tracker.can_add
-
-        def counted(v):
-            nonlocal calls
-            calls += 1
-            return can_add(v)
-
-        tracker.can_add = counted
-        return tracker
-
-    monkeypatch.setattr(oracle, "make_tracker", counting)
+    calls = _count_can_add(monkeypatch)
     n = 12
     star = Graph(n, [(v, n - 1) for v in range(n - 1)])
     states = enumerate_colorable_sets(star, 1)
     assert len(states) == 2 ** (n - 1) + 1
-    assert calls <= len(states) + n
+    assert calls[0] <= len(states) + n
 
 
 def test_distance_search_stops_at_the_target(monkeypatch):
-    # the target is one step from the source: only the source is expanded,
-    # and the 2^16 states' adjacency is never built
+    # the target is one step from the source: only the source is expanded, its 14
+    # other additions are tested once, and none of the other 2^16 sets is visited
     expanded = []
     neighbours = oracle.StateSpace.neighbours
+    calls = _count_can_add(monkeypatch)
 
-    def counted(space, i):
-        expanded.append(i)
-        return neighbours(space, i)
+    def counted(space, mask):
+        expanded.append(mask)
+        return neighbours(space, mask)
 
     monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
     dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar")
     assert dist == 1 and seq.steps == [("+", 1)]
-    assert len(expanded) <= 1
+    assert expanded == [0b1] and calls[0] == 14
 
 
 def test_distance_input_errors():
@@ -375,8 +366,8 @@ def test_one_color_rejects_without_recoloring(monkeypatch):
 
 
 def test_distance_and_report_enumerate_through_the_public_walker(monkeypatch):
-    # a traced run wraps oracle.enumerate_colorable_sets; each oracle entry point
-    # must reach the walk through that name, once
+    # a traced run wraps oracle.enumerate_colorable_sets: the report must reach the
+    # walk through that name, once, and a distance, which enumerates nothing, not at all
     calls = []
     walk = oracle.enumerate_colorable_sets
 
@@ -386,6 +377,88 @@ def test_distance_and_report_enumerate_through_the_public_walker(monkeypatch):
 
     monkeypatch.setattr(oracle, "enumerate_colorable_sets", counted)
     dist, _ = oracle_distance(path_graph(4), 1, {0, 2}, {1, 3}, rule="tj")
-    assert dist == 2 and len(calls) == 1
+    assert dist == 2 and len(calls) == 0
     report = oracle_connectivity_report(Graph(3), 1, 0, rule="tar")
-    assert report.sizes == [8] and len(calls) == 2
+    assert report.sizes == [8] and len(calls) == 1
+
+
+def _reference_distance(rep, c, start, target, k, rule):
+    """Distance and steps by a one-sided BFS over the enumerated states, whose steps are
+    found by looking up each state XOR every one-step move."""
+    n = rep.n
+    size = k if rule == "tar" else len(start)
+    space = build_state_space(rep, c, size, rule)
+    if rule == "tar":
+        moves = [1 << v for v in range(n)]
+    else:
+        moves = [1 << u | 1 << v for u, v in combinations(range(n), 2)
+                 if rule == "tj" or rep.has_edge(u, v)]
+    index = space.index
+    adj = [sorted(index[mask ^ move] for move in moves if mask ^ move in index)
+           for mask in space.states]
+    src, dst = (index[sum(1 << v for v in s)] for s in (start, target))
+    parent = core.bfs(src, adj.__getitem__, dst)
+    if dst not in parent:
+        return math.inf, None
+    steps = []
+    path = [space.states[i] for i in core.bfs_path(parent, dst)]
+    for prev, nxt in zip(path, path[1:]):
+        gone = [v for v in range(n) if prev >> v & 1 and not nxt >> v & 1]
+        new = [v for v in range(n) if nxt >> v & 1 and not prev >> v & 1]
+        if rule == "tar":
+            steps.append(("+", *new) if new else ("-", *gone))
+        else:
+            steps.append((">", *gone, *new))
+    return len(path) - 1, steps
+
+
+def _random_cases(rng, count):
+    """Seeded (rep, c, start, target, k, rule) cases with n <= 9 on all three representations."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(0, 9)
+        rep = rng.choice((random_graph(rng, n, p=rng.random()), random_split_model(rng, n),
+                          model_from_intervals(random_endpoints(rng, n))))
+        c, rule = rng.randint(1, 3), rng.choice(("tar", "tj", "ts"))
+        k = rng.randint(0, n)
+        sets = _members(enumerate_colorable_sets(rep, c, *((k, None) if rule == "tar"
+                                                           else (0, k))))
+        if sets:
+            start, target = rng.choice(sets), rng.choice(sets)
+            cases.append((rep, c, set(start), set(target), k if rule == "tar" else 0, rule))
+    return cases
+
+
+def test_distance_matches_a_search_over_the_enumerated_states():
+    rng = random.Random(3030)
+    far = unreachable = 0
+    for rep, c, start, target, k, rule in _random_cases(rng, 1000):
+        dist, seq = oracle_distance(rep, c, start, target, k=k, rule=rule)
+        want_dist, want_steps = _reference_distance(rep, c, start, target, k, rule)
+        assert dist == want_dist, (rep, c, start, target, k, rule)
+        assert (seq.steps if seq else None) == want_steps, (rep, c, start, target, k, rule)
+        far += 3 <= dist < math.inf
+        unreachable += dist == math.inf
+    assert far >= 70 and unreachable >= 40
+
+
+def test_state_cap_counts_the_states_the_search_discovers(monkeypatch):
+    # the discovered states are S, S2 and every step the search was handed
+    rng = random.Random(3131)
+    neighbours = oracle.StateSpace.neighbours
+    for rep, c, start, target, k, rule in _random_cases(rng, 60):
+        seen = {sum(1 << v for v in start), sum(1 << v for v in target)}
+
+        def counted(space, mask):
+            steps = neighbours(space, mask)
+            seen.update(steps)
+            return steps
+
+        monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
+        want = oracle_distance(rep, c, start, target, k=k, rule=rule)
+        monkeypatch.undo()
+        cap = len(seen)
+        got = oracle_distance(rep, c, start, target, k=k, rule=rule, max_states=cap)
+        assert got[0] == want[0]
+        with pytest.raises(ResourceLimitError, match=f"max_states={cap - 1};"):
+            oracle_distance(rep, c, start, target, k=k, rule=rule, max_states=cap - 1)

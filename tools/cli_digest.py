@@ -52,8 +52,9 @@ guard, so the oracle is not run.
 
 A sixth, fixed corpus of malformed inputs holds one instance, sequence or
 reduction-source text per parse and validation error the CLI prints, and
-runs each guard and refusal once (``--max-n``, also lifted past the depth
-the oracle's walk can nest, ``--max-states``, ``--max-c`` off and at the
+runs each guard and refusal once (``--max-n``, also lifted on an instance
+whose one state lies deeper than the report's walk can nest,
+``--max-states``, ``--max-c`` off and at the
 split engine's tight floor, the exact-coloring guard, ``--emit-sequence``
 without ``--out``, ``oracle --report --emit-sequence``, ``reduce --kind oct
 --rule`` and ``gen --p`` outside [0, 1]).  Four rows then put a count past
@@ -69,11 +70,14 @@ writes: a comment, a tab, CRLF line ends, a leading zero, a signed zero in a
 swap, a space after a sign, a swap among +/- steps, a 5,000-digit token and a
 trailing blank line.  Two rows then run ``solve`` and ``solve
 --emit-sequence --out`` on a split instance at the tight floor whose target
-is an isolated meta node, and its last two rows do the same for a target
-that is a free triple, whose small component the search from both ends
-exhausts first.  Its two sequences, a split tar witness off the tight floor
-and a split tj sequence, are replayed with ``verify``.  With the default 120
-seeds the tool runs 8,014 commands.
+is an isolated meta node, and two more do the same for a target that is a
+free triple, whose small component the search from both ends exhausts
+first.  Its last row runs ``oracle --report`` with ``--max-n`` lifted on the
+deep instance above, whose walk the recursion guard refuses; a distance on
+it neither walks nor searches, since its two sets are equal.  Its two
+sequences, a split tar witness off the tight floor and a split tj sequence,
+are replayed with ``verify``.  With the default 120 seeds the tool runs
+8,015 commands.
 
 All commands run in process through ``csrecon.cli.main``.  A record holds
 the command's arguments, exit code, stdout and stderr (with the temporary
@@ -501,6 +505,9 @@ def malformed_corpus():
         # for the same reason
         solve(FREE_TRIPLE),
         solve(FREE_TRIPLE, "--emit-sequence", "--out", "OUT"),
+        # the deep instance under --report, the one command that walks it and so meets the
+        # recursion guard, appended last for the same reason
+        (["oracle", "inst", "--report", "--max-n", "2000"], {"inst": deep}),
     ]
 
 
