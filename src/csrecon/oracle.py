@@ -173,10 +173,11 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     """Exact shortest distance and a shortest sequence, by a search from both ends.
 
     Nothing is enumerated: the search tests only the sets it discovers, at most ``max_states``,
-    and follows the path a BFS from the start side would find.  Returns ``(distance,
-    sequence)``; when the two sets lie in different components the distance is ``math.inf``
-    and the sequence is None.  Given the (S, S2) ``trackers`` of an earlier validation, the
-    sets are not checked again.
+    and follows the path a BFS from the start side would find.  Under tar with |S & S2| >= k
+    that path is walked without a search: it takes the first neighbour one step nearer S2 until
+    it gets there, |S ^ S2| steps.  Returns ``(distance, sequence)``; when the two sets lie in
+    different components the distance is ``math.inf`` and the sequence is None.  Given the
+    (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.
     """
     if not trackers:
         check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
@@ -185,7 +186,15 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     src, dst = (sum(1 << v for v in s) for s in (start, target))
     for mask in {src, dst}:
         space.remember(mask)
-    path = shortest_path(src, dst, space.neighbours)
+    if rule == "tar" and (src & dst).bit_count() >= k:
+        # a step nearer S2 keeps |X & S2| >= k, so X - S2 can still be removed and then S2 - X
+        # added: every such step lies on a shortest path, and the BFS path takes the first one
+        path = [src]
+        while path[-1] != dst:
+            x = path[-1]
+            path.append(next(y for y in space.neighbours(x) if (y ^ x) & (x ^ dst)))
+    else:
+        path = shortest_path(src, dst, space.neighbours)
     if path is None:
         return math.inf, None
     steps = [_steps_between(path[i], path[i + 1], rule) for i in range(len(path) - 1)]

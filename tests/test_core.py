@@ -655,17 +655,15 @@ def test_shortest_path_is_the_one_sided_bfs_path():
     assert unreachable > 1000 and same > 1000 and long > 100
 
 
-def test_shortest_path_meets_in_the_middle(monkeypatch):
+def test_shortest_path_meets_in_the_middle():
     # 2^16 tar states at c = 1 and a target 8 steps away: a one-sided search expands
     # 14,894 states, the search from both ends only the layers up to half way
     expanded = []
-    neighbours = oracle.StateSpace.neighbours
+    space = oracle.StateSpace(Graph(16), 1, "tar", 0)
 
-    def counted(space, mask):
+    def counted(mask):
         expanded.append(mask)
-        return neighbours(space, mask)
+        return space.neighbours(mask)
 
-    monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
-    dist, seq = oracle.oracle_distance(Graph(16), 1, set(), set(range(8)), k=0)
-    assert dist == 8 and seq.steps == [("+", v) for v in range(8)]
+    assert shortest_path(0, 0xFF, counted) == [(1 << v) - 1 for v in range(9)]
     assert len(expanded) == 1_398

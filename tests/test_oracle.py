@@ -180,21 +180,45 @@ def test_rejected_vertex_is_not_tested_again_below(monkeypatch):
     assert calls[0] <= len(states) + n
 
 
-def test_distance_search_stops_at_the_target(monkeypatch):
-    # the target is one step from the source: only the source is expanded, its 14
-    # other additions are tested once, and none of the other 2^16 sets is visited
+def _count_expansions(monkeypatch):
+    """The list of masks ``StateSpace.neighbours`` is asked about, in order."""
     expanded = []
     neighbours = oracle.StateSpace.neighbours
-    calls = _count_can_add(monkeypatch)
 
     def counted(space, mask):
         expanded.append(mask)
         return neighbours(space, mask)
 
     monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
+    return expanded
+
+
+def test_distance_search_stops_at_the_target(monkeypatch):
+    # the floor k = 1 exceeds |S & S2| = 0, so the distance searches: the target is two
+    # steps away, and only the source, the target and {0, 1} between them are expanded,
+    # testing their 15, 14 and 14 additions not yet known; none of the other 2^16 sets is
+    # visited
+    expanded = _count_expansions(monkeypatch)
+    calls = _count_can_add(monkeypatch)
+    dist, seq = oracle_distance(Graph(16), 1, {0}, {1}, k=1, rule="tar")
+    assert dist == 2 and seq.steps == [("+", 1), ("-", 0)]
+    assert expanded == [0b1, 0b10, 0b11] and calls[0] == 43
+
+
+def test_tar_distance_within_the_floor_is_walked(monkeypatch):
+    # |S & S2| >= k: every step nearer S2 lies on a shortest path, so the distance expands
+    # only the sets on its path, where the search from both ends expands 1,398 (test_core)
+    expanded = _count_expansions(monkeypatch)
+    calls = _count_can_add(monkeypatch)
     dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar")
     assert dist == 1 and seq.steps == [("+", 1)]
     assert expanded == [0b1] and calls[0] == 14
+    del expanded[:]
+    dist, seq = oracle_distance(Graph(16), 1, set(), set(range(8)), k=0)
+    assert dist == 8 and seq.steps == [("+", v) for v in range(8)]
+    assert expanded == [(1 << v) - 1 for v in range(8)]
+    dist, seq = oracle_distance(Graph(16), 1, {0, 1, 2, 3}, {2, 3, 4, 5}, k=2)
+    assert dist == 4 and seq.steps == [("+", 4), ("+", 5), ("-", 1), ("-", 0)]
 
 
 def test_distance_input_errors():
@@ -430,16 +454,18 @@ def _random_cases(rng, count):
 
 
 def test_distance_matches_a_search_over_the_enumerated_states():
+    # both the search and the walk under tar with |S & S2| >= k must come up, far apart
     rng = random.Random(3030)
-    far = unreachable = 0
+    far = walked = unreachable = 0
     for rep, c, start, target, k, rule in _random_cases(rng, 1000):
         dist, seq = oracle_distance(rep, c, start, target, k=k, rule=rule)
         want_dist, want_steps = _reference_distance(rep, c, start, target, k, rule)
         assert dist == want_dist, (rep, c, start, target, k, rule)
         assert (seq.steps if seq else None) == want_steps, (rep, c, start, target, k, rule)
         far += 3 <= dist < math.inf
+        walked += 3 <= dist and rule == "tar" and len(start & target) >= k
         unreachable += dist == math.inf
-    assert far >= 70 and unreachable >= 40
+    assert far >= 70 and walked >= 25 and unreachable >= 40
 
 
 def test_state_cap_counts_the_states_the_search_discovers(monkeypatch):
