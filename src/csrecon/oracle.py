@@ -1,9 +1,11 @@
-"""Ground-truth engine: BFS over the graph of colorable sets.
+"""Ground-truth engine: shortest paths over the graph of colorable sets.
 
-Only meant for desk-size instances.  Distances and the connectivity report have a
-vertex-count cap and a state cap, on the sets a distance search discovers (optional) or
-on those the report enumerates (``DEFAULT_REPORT_MAX_STATES`` by default, as its diameters
-take one BFS per state).  ``enumerate_colorable_sets`` has only the optional state cap.
+Only meant for desk-size instances.  A distance is proved by one bounded depth-first pass,
+or else searched by BFS from both ends; the connectivity report runs BFS over the enumerated
+sets.  Both have a vertex-count cap and a state cap, on the sets a distance discovers
+(optional) or on those the report enumerates (``DEFAULT_REPORT_MAX_STATES`` by default, as
+its diameters take one BFS per state).  ``enumerate_colorable_sets`` has only the optional
+state cap.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ class StateSpace:
     rule: str
     size: int
     max_states: int = None   # a cap on the sets found
+    target: int = 0          # the set a ``neighbours`` bound is measured from
     states: list = None
     index: dict = None
 
@@ -62,17 +65,21 @@ class StateSpace:
         if self.max_states is not None and len(keys) > self.max_states:
             raise ResourceLimitError(_TOO_MANY.format(self.max_states))
 
-    def neighbours(self, mask):
+    def neighbours(self, mask, bound=None):
         """The feasible sets one step from the feasible set ``mask``, in lexicographic order.
 
         A set not yet known is tested once: a tar removal needs only the floor, and a set
         that adds v is tested with ``can_add(v)`` on the tracker moved to its other members.
+        Given a ``bound``, the sets that differ from ``target`` in more members are dropped.
         """
         keys, infeasible = self.keys, self.infeasible
         flips = list(map(mask.__xor__, self.moves))
         if self.rule != "tar" or mask.bit_count() == self.size:    # keep the allowed sizes
             fits = self.size.__le__ if self.rule == "tar" else self.size.__eq__
             flips = list(compress(flips, map(fits, map(int.bit_count, flips))))
+        if bound is not None:
+            flips = list(compress(flips, map(bound.__ge__, map(
+                int.bit_count, map(self.target.__xor__, flips)))))
         for new in filterfalse(infeasible.__contains__, filterfalse(keys.__contains__, flips)):
             added = new & ~mask
             if not added or self._tracker_at(mask & new).can_add(added.bit_length() - 1):
@@ -170,30 +177,40 @@ def _steps_between(prev, nxt, rule):
 
 def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
                     max_n=DEFAULT_MAX_N, max_states=None, trackers=None):
-    """Exact shortest distance and a shortest sequence, by a search from both ends.
+    """Exact shortest distance and a shortest sequence, testing only the sets discovered.
 
-    Nothing is enumerated: the search tests only the sets it discovers, at most ``max_states``,
-    and follows the path a BFS from the start side would find.  Under tar with |S & S2| >= k
-    that path is walked without a search: it takes the first neighbour one step nearer S2 until
-    it gets there, |S ^ S2| steps.  Returns ``(distance, sequence)``; when the two sets lie in
+    One depth-first pass (IDA*, Korf 1985, for the single bound D = h(S)) takes neighbours in
+    order and cuts a set X at depth g when g + h(X) > D, for h(X) = |X ^ S2| under tar and
+    |X ^ S2| // 2 under tj and ts, which never exceeds X's distance to S2.  A path it finds is
+    the first shortest one in neighbour order, the one ``core.shortest_path`` returns, which
+    searches when the pass fails.  Returns ``(distance, sequence)``; when the two sets lie in
     different components the distance is ``math.inf`` and the sequence is None.  Given the
     (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.
     """
     if not trackers:
         check_sets(g_or_model, c, start, target, k, same_size=rule != "tar")
     _guard(g_or_model.n, rule, max_n)
-    space = StateSpace(g_or_model, c, rule, k if rule == "tar" else len(start), max_states)
     src, dst = (sum(1 << v for v in s) for s in (start, target))
+    space = StateSpace(g_or_model, c, rule, k if rule == "tar" else len(start), max_states, dst)
     for mask in {src, dst}:
         space.remember(mask)
-    if rule == "tar" and (src & dst).bit_count() >= k:
-        # a step nearer S2 keeps |X & S2| >= k, so X - S2 can still be removed and then S2 - X
-        # added: every such step lies on a shortest path, and the BFS path takes the first one
-        path = [src]
-        while path[-1] != dst:
-            x = path[-1]
-            path.append(next(y for y in space.neighbours(x) if (y ^ x) & (x ^ dst)))
-    else:
+    per_step = 1 if rule == "tar" else 2    # members of X ^ S2 one step can mend
+    most = (src ^ dst).bit_count() // per_step    # the pass's bound D = h(S)
+    # a tar target at the floor can only gain a member; without one the pass covers S's side
+    if src != dst and rule == "tar" and dst.bit_count() == k and not space.neighbours(dst):
+        return math.inf, None
+    path, todo, failed = [src], [], {}    # failed: the most steps left a set failed with
+    while path and path[-1] != dst:
+        left = most - len(path)    # the steps left after the next step
+        if len(todo) < len(path):
+            todo.append(iter(space.neighbours(path[-1], per_step * left)))
+        nxt = next(todo[-1], None)
+        if nxt is None:
+            todo.pop()
+            failed[path.pop()] = left + 1
+        elif failed.get(nxt, -1) < left:
+            path.append(nxt)
+    if not path:
         path = shortest_path(src, dst, space.neighbours)
     if path is None:
         return math.inf, None

@@ -1,8 +1,10 @@
 """The brute-force BFS engine: distances, reports, and structural checks."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -185,40 +187,66 @@ def _count_expansions(monkeypatch):
     expanded = []
     neighbours = oracle.StateSpace.neighbours
 
-    def counted(space, mask):
+    def counted(space, mask, bound=None):
         expanded.append(mask)
-        return neighbours(space, mask)
+        return neighbours(space, mask, bound)
 
     monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
     return expanded
 
 
 def test_distance_search_stops_at_the_target(monkeypatch):
-    # the floor k = 1 exceeds |S & S2| = 0, so the distance searches: the target is two
-    # steps away, and only the source, the target and {0, 1} between them are expanded,
-    # testing their 15, 14 and 14 additions not yet known; none of the other 2^16 sets is
-    # visited
+    # the floor k = 1 exceeds |S & S2| = 0, and S2 = {1} sits at the floor, so it is
+    # expanded first (it has a step) and its 15 additions are tested; the pass then expands
+    # the source and {0, 1}, whose one step within the bound each is already known, and
+    # none of the other 2^16 sets is visited
     expanded = _count_expansions(monkeypatch)
     calls = _count_can_add(monkeypatch)
     dist, seq = oracle_distance(Graph(16), 1, {0}, {1}, k=1, rule="tar")
     assert dist == 2 and seq.steps == [("+", 1), ("-", 0)]
-    assert expanded == [0b1, 0b10, 0b11] and calls[0] == 43
+    assert expanded == [0b10, 0b1, 0b11] and calls[0] == 15
 
 
 def test_tar_distance_within_the_floor_is_walked(monkeypatch):
-    # |S & S2| >= k: every step nearer S2 lies on a shortest path, so the distance expands
-    # only the sets on its path, where the search from both ends expands 1,398 (test_core)
+    # |S & S2| >= k: every step nearer S2 lies on a shortest path, so the bounded pass never
+    # backtracks and expands only the sets on its path, where the search from both ends
+    # expands 1,398 (test_core); the bound drops every step away from S2 before its test
     expanded = _count_expansions(monkeypatch)
     calls = _count_can_add(monkeypatch)
     dist, seq = oracle_distance(Graph(16), 1, {0}, {0, 1}, k=0, rule="tar")
     assert dist == 1 and seq.steps == [("+", 1)]
-    assert expanded == [0b1] and calls[0] == 14
+    assert expanded == [0b1] and calls[0] == 0    # its one step within the bound is S2
     del expanded[:]
     dist, seq = oracle_distance(Graph(16), 1, set(), set(range(8)), k=0)
     assert dist == 8 and seq.steps == [("+", v) for v in range(8)]
     assert expanded == [(1 << v) - 1 for v in range(8)]
     dist, seq = oracle_distance(Graph(16), 1, {0, 1, 2, 3}, {2, 3, 4, 5}, k=2)
     assert dist == 4 and seq.steps == [("+", 4), ("+", 5), ("-", 1), ("-", 0)]
+
+
+def test_tar_target_at_the_floor_with_no_step_is_cut_off(monkeypatch):
+    # S2 sits at the floor (|S2| = k = 3) and is maximal at c = 2, so it has no step; S's
+    # component is large, and only the ends may be expanded to find that S2 is cut off
+    body = [(4, 24), (19, 24), (3, 17), (18, 21), (12, 20), (3, 17), (5, 19), (5, 11),
+            (3, 11), (15, 16), (11, 12), (8, 20)]
+    expanded = _count_expansions(monkeypatch)
+    dist, seq = oracle_distance(model_from_intervals(body), 2, {3, 4, 7, 8, 9}, {1, 5, 6}, k=3)
+    assert dist == math.inf and seq is None
+    assert len(expanded) <= 2 and set(expanded) <= {0b1110011000, 0b1100010}
+
+
+def test_bounded_pass_does_not_recurse():
+    # 150 disjoint intervals at c = 1: from the empty set to all of them takes 150 additions,
+    # more than the 50 frames the lowered recursion limit leaves
+    n = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        dist, seq = oracle_distance(model_from_intervals([(2 * v, 2 * v) for v in range(n)]), 1,
+                                    set(), set(range(n)), max_n=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dist == n and seq.steps == [("+", v) for v in range(n)]
 
 
 def test_distance_input_errors():
@@ -469,18 +497,17 @@ def test_distance_matches_a_search_over_the_enumerated_states():
 
 
 def test_state_cap_counts_the_states_the_search_discovers(monkeypatch):
-    # the discovered states are S, S2 and every step the search was handed
+    # the discovered states are S, S2 and every step the distance tested and found feasible
     rng = random.Random(3131)
-    neighbours = oracle.StateSpace.neighbours
+    remember = oracle.StateSpace.remember
     for rep, c, start, target, k, rule in _random_cases(rng, 60):
-        seen = {sum(1 << v for v in start), sum(1 << v for v in target)}
+        seen = set()
 
         def counted(space, mask):
-            steps = neighbours(space, mask)
-            seen.update(steps)
-            return steps
+            seen.add(mask)
+            return remember(space, mask)
 
-        monkeypatch.setattr(oracle.StateSpace, "neighbours", counted)
+        monkeypatch.setattr(oracle.StateSpace, "remember", counted)
         want = oracle_distance(rep, c, start, target, k=k, rule=rule)
         monkeypatch.undo()
         cap = len(seen)
