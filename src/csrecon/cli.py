@@ -28,6 +28,7 @@ from .instances import (
     tar_to_tj,
     verify_sequence,
     _int,
+    _need,
     _vertex_list,
 )
 # tj_distance is not called here, but stays bound for callers that wrap this module's names
@@ -142,12 +143,6 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
-def _field(fields, key, what):
-    if key not in fields:
-        raise FormatError(f"missing '{key}:' (required for {what})", fields.end)
-    return fields[key]
-
-
 def _cmd_reduce(args):
     if args.kind == "oct" and args.rule:
         raise InvariantError("--rule applies only to --kind isr and spr")
@@ -158,6 +153,7 @@ def _cmd_reduce(args):
         raise InvariantError("reduction sources must use the edges representation")
 
     meta_lines = [f"kind: {args.kind}"]
+    need = partial(_need, fields, lineno=fields.end, suffix=f" (required for {args.kind})")
     if args.kind == "oct":
         if "c" not in header or "k" not in header:
             raise FormatError("oct sources need 'c:' and 'k:' headers", header["body"][1])
@@ -170,8 +166,8 @@ def _cmd_reduce(args):
             for v in group:
                 meta_lines.append(f"pad: {v} layer {layer}")
     elif args.kind == "isr":
-        start = set(_vertex_list(*_field(fields, "I", "isr")))
-        target = set(_vertex_list(*_field(fields, "I2", "isr")))
+        start = set(_vertex_list(*need("I")))
+        target = set(_vertex_list(*need("I2")))
         out = isr_to_split_csr(g, start, target)
         rule = args.rule or "tj"
         # image sets have size k; the addition-removal variant runs at floor k-1
@@ -180,10 +176,10 @@ def _cmd_reduce(args):
         for v, (eu, ev) in sorted(out.edge_of_vertex.items()):
             meta_lines.append(f"pad: {v} edge {eu} {ev}")
     else:  # spr
-        s = _int(*_field(fields, "s", "spr"), "s")
-        t = _int(*_field(fields, "t", "spr"), "t")
-        path_start = _vertex_list(*_field(fields, "P", "spr"))
-        path_target = _vertex_list(*_field(fields, "P2", "spr"))
+        s = _int(*need("s"), "s")
+        t = _int(*need("t"), "t")
+        path_start = _vertex_list(*need("P"))
+        path_target = _vertex_list(*need("P2"))
         if "c" not in header:
             raise FormatError("spr sources need a 'c:' header", header["body"][1])
         c = _int(*header["c"], "c")

@@ -221,6 +221,13 @@ class _Fields(dict):
     """Trailing fields as (raw value, line number) by key; ``end`` is the last nonblank line."""
 
 
+def _need(fields, key, lineno, suffix=""):
+    """``fields[key]``, or a FormatError at ``lineno`` that the key is missing."""
+    if key not in fields:
+        raise FormatError(f"missing '{key}:'{suffix}", lineno)
+    return fields[key]
+
+
 def parse_document(text):
     """Split csr/1 text into (header, representation, trailing fields).
 
@@ -241,18 +248,14 @@ def parse_document(text):
     if header["body"][0]:
         raise FormatError("'body:' takes no inline value", header["body"][1])
 
-    def need(key):
-        if key not in header:  # the first field is on the first entry
-            raise FormatError(f"missing '{key}:' before body", next(iter(header.values()))[1])
-        return header[key]
-
-    fmt, lineno = need("format")
+    first = next(iter(header.values()))[1]    # the first field is on the first entry
+    fmt, lineno = _need(header, "format", first, " before body")
     if fmt != FORMAT_TAG:
         raise FormatError(f"unsupported format '{fmt}'", lineno)
-    kind, lineno = need("repr")
+    kind, lineno = _need(header, "repr", first, " before body")
     if kind not in REPRS:
         raise FormatError(f"unknown repr '{kind}'", lineno)
-    nval, lineno = need("n")
+    nval, lineno = _need(header, "n", first, " before body")
     n = _int(nval, lineno, "n")
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
@@ -300,17 +303,12 @@ def parse_document(text):
 def parse_instance(text):
     """Parse and validate a complete csr/1 instance; its interval pairs are kept as the model."""
     header, representation, fields = parse_document(text)
-
-    def need_header(key):
-        if key not in header:
-            raise FormatError(f"missing '{key}:'", header["body"][1])
-        return header[key]
-
-    rule, lineno = need_header("rule")
+    body_line = header["body"][1]
+    rule, lineno = _need(header, "rule", body_line)
     if rule not in RULES:
         raise FormatError(f"unknown rule '{rule}'", lineno)
-    c = _int(*need_header("c"), "c")
-    k = _int(*need_header("k"), "k")
+    c = _int(*_need(header, "c", body_line), "c")
+    k = _int(*_need(header, "k", body_line), "k")
     if "S" not in fields or "S2" not in fields:
         raise FormatError("missing 'S:' or 'S2:' after body", fields.end)
     start = set(_vertex_list(*fields["S"]))

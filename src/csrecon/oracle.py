@@ -29,10 +29,10 @@ class StateSpace:
     """The feasible sets under one rule, as int bitmasks (bit v for member v).
 
     Under tar the sets have at least ``size`` members, under tj and ts exactly
-    ``size``.  ``keys`` maps each feasible set found to its lexicographic place
-    and ``infeasible`` holds the sets refused, so no set is tested twice; one
-    ``tracker`` follows the tests.  Only the report enumerates ``states``, with
-    ``index`` a mask's position there, and reads ``adj``, the adjacency by index.
+    ``size``.  ``keys`` holds the feasible sets found and ``infeasible`` the sets
+    refused, so no set is tested twice; one ``tracker`` follows the tests.  Only the
+    report enumerates ``states``, with ``index`` a mask's position there, and reads
+    ``adj``, the adjacency by index, each row in ascending order.
     """
 
     rep: object
@@ -45,28 +45,26 @@ class StateSpace:
     index: dict = None
 
     def __post_init__(self):
-        self.keys, self.infeasible = {}, set()
+        self.keys, self.infeasible = set(), set()
         self.tracker, self.held = make_tracker(self.rep, (), self.c), 0    # and the set it holds
 
     @cached_property
     def moves(self):
-        """XOR masks of one step: a vertex under tar, a vertex pair under tj, an edge under ts."""
+        """XOR masks of one step: a vertex under tar, a pair u < v under tj, an edge under ts."""
         if self.rule == "tar":
             return [1 << v for v in range(self.rep.n)]
         return [1 << u | 1 << v for u in range(self.rep.n) for v in range(u + 1, self.rep.n)
                 if self.rule == "tj" or self.rep.has_edge(u, v)]
 
     def remember(self, mask):
-        """Key the feasible set ``mask`` by its place among all subsets in lexicographic order
-        of sorted members: |S| + 2^(n-1-x) per nonmember x < max(S)."""
-        keys, n = self.keys, self.rep.n
-        rev = int(format(mask, f"0{n}b")[::-1], 2)     # bit n-1-v for member v
-        keys[mask] = (1 << n) + mask.bit_count() - rev - (1 << n - mask.bit_length())
-        if self.max_states is not None and len(keys) > self.max_states:
+        """Add the feasible set ``mask`` to ``keys``, within ``max_states``."""
+        self.keys.add(mask)
+        if self.max_states is not None and len(self.keys) > self.max_states:
             raise ResourceLimitError(_TOO_MANY.format(self.max_states))
 
     def neighbours(self, mask, bound=None):
-        """The feasible sets one step from the feasible set ``mask``, in lexicographic order.
+        """The feasible sets one step from the feasible set ``mask``, in ``moves`` order, so
+        the path a search returns is the first shortest one in move order.
 
         A set not yet known is tested once: a tar removal needs only the floor, and a set
         that adds v is tested with ``can_add(v)`` on the tracker moved to its other members.
@@ -86,7 +84,7 @@ class StateSpace:
                 self.remember(new)
             else:
                 infeasible.add(new)
-        return sorted(filter(keys.__contains__, flips), key=keys.__getitem__)
+        return list(filter(keys.__contains__, flips))
 
     def _tracker_at(self, mask):
         """The space's one tracker, moved from the set it held to ``mask`` by adds and removes."""
@@ -101,7 +99,7 @@ class StateSpace:
 
     @cached_property
     def adj(self):
-        return [list(map(self.index.__getitem__, self.neighbours(mask))) for mask in self.states]
+        return [sorted(map(self.index.__getitem__, self.neighbours(mask))) for mask in self.states]
 
 
 def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_states=None):
@@ -111,11 +109,10 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
     records each set before its extensions, which is already lexicographic order.
     Colorable sets are closed under taking subsets, so a vertex that does not fit a set
     fits none of its supersets: each node tests its candidates once and hands its
-    children only the later ones that fitted; the last fit has none, so its set is
-    recorded without a call.  A branch is also cut once its candidates can no longer
-    reach the size floor, and never grows past the exact size, so a high floor prunes
-    most of the search too (the edgeless 20-vertex graph at tar k=20 takes 210
-    ``can_add`` tests).
+    children only the later ones that fitted.  A branch is also cut once its candidates
+    can no longer reach the size floor, and never grows past the exact size, so a high
+    floor prunes most of the search too (the edgeless 20-vertex graph at tar k=20 takes
+    210 ``can_add`` tests).
     """
     masks = []
     tracker = make_tracker(g_or_model, (), c)
@@ -131,17 +128,11 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
             return
         fits = list(filter(can_add, candidates))
         # adding fits[i] leaves len(fits) - i - 1 candidates, which must reach the floor
-        stop = len(fits) - max(0, floor - size - 1)
-        leaf = stop == len(fits) > 0    # the last fit has no later candidates: record it here
-        for i in range(stop - leaf):
+        for i in range(len(fits) - max(0, floor - size - 1)):
             v = fits[i]
             add(v)
             grow(mask | 1 << v, size + 1, fits[i + 1:])
             remove(v)
-        if leaf:
-            record(mask | 1 << fits[-1])
-            if max_states is not None and len(masks) > max_states:
-                raise ResourceLimitError(_TOO_MANY.format(max_states))
 
     grow(0, 0, range(g_or_model.n))
     return masks
@@ -182,7 +173,7 @@ def oracle_distance(g_or_model, c, start, target, k=0, rule="tar",
     One depth-first pass (IDA*, Korf 1985, for the single bound D = h(S)) takes neighbours in
     order and cuts a set X at depth g when g + h(X) > D, for h(X) = |X ^ S2| under tar and
     |X ^ S2| // 2 under tj and ts, which never exceeds X's distance to S2.  A path it finds is
-    the first shortest one in neighbour order, the one ``core.shortest_path`` returns, which
+    the first shortest one in move order, the one ``core.shortest_path`` returns, which
     searches when the pass fails.  Returns ``(distance, sequence)``; when the two sets lie in
     different components the distance is ``math.inf`` and the sequence is None.  Given the
     (S, S2) ``trackers`` of an earlier validation, the sets are not checked again.

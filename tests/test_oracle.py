@@ -221,7 +221,7 @@ def test_tar_distance_within_the_floor_is_walked(monkeypatch):
     assert dist == 8 and seq.steps == [("+", v) for v in range(8)]
     assert expanded == [(1 << v) - 1 for v in range(8)]
     dist, seq = oracle_distance(Graph(16), 1, {0, 1, 2, 3}, {2, 3, 4, 5}, k=2)
-    assert dist == 4 and seq.steps == [("+", 4), ("+", 5), ("-", 1), ("-", 0)]
+    assert dist == 4 and seq.steps == [("-", 0), ("-", 1), ("+", 4), ("+", 5)]
 
 
 def test_tar_target_at_the_floor_with_no_step_is_cut_off(monkeypatch):
@@ -274,6 +274,61 @@ def test_connectivity_report_examples(e2_model):
     assert report.components == 1 and report.sizes == [4] and report.diameters == [2]
     report = oracle_connectivity_report(Graph(0), 1, 0, rule="tar")
     assert report.components == 1 and report.sizes == [1] and report.diameters == [0]
+
+
+def _brute_force_report(plain, c, k, rule):
+    """Component count, sizes and diameters by BFS over every colorable subset of range(n)
+    of an allowed size, the components in order of their lexicographically smallest set."""
+    n = plain.n
+    subsets = sorted(s for size in range(n + 1) for s in combinations(range(n), size))
+    sets = [frozenset(s) for s in subsets if (len(s) >= k if rule == "tar" else len(s) == k)
+            and brute_force_colorable(plain, s, c)]
+
+    def step(a, b):
+        diff = a ^ b
+        if rule == "tar":
+            return len(diff) == 1
+        return len(diff) == 2 and (rule == "tj" or plain.has_edge(*diff))
+
+    adj = {a: [b for b in sets if step(a, b)] for a in sets}
+
+    def depths(source):
+        depth, todo = {source: 0}, [source]
+        for a in todo:
+            for b in adj[a]:
+                if b not in depth:
+                    depth[b] = depth[a] + 1
+                    todo.append(b)
+        return depth
+
+    seen, sizes, diameters = set(), [], []
+    for root in sets:
+        if root not in seen:
+            comp = depths(root)
+            seen.update(comp)
+            sizes.append(len(comp))
+            diameters.append(max(max(depths(a).values()) for a in comp))
+    return len(sizes), sizes, diameters
+
+
+def test_connectivity_report_matches_brute_force():
+    rng = random.Random(2929)
+    split_up = deep = 0
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        g, split = random_graph(rng, n, p=rng.random()), random_split_model(rng, n)
+        model = model_from_intervals(random_endpoints(rng, n))
+        for rep, plain in ((g, g), (split, graph_from_split(split)),
+                           (model, graph_from_model(model))):
+            for rule in ("tar", "tj", "ts"):
+                c, k = rng.randint(1, 3), rng.randint(0, n)
+                report = oracle_connectivity_report(rep, c, k, rule=rule)
+                got = report.components, report.sizes, report.diameters
+                assert got == _brute_force_report(plain, c, k, rule), (rep, rule, c, k)
+                split_up += report.components > 1
+                deep += max(report.diameters, default=0) >= 3
+    # enough reports with several components, and with long shortest paths, to check both
+    assert split_up >= 30 and deep >= 60
 
 
 def test_adjacency_symmetric_everywhere():
@@ -375,9 +430,9 @@ def test_enumeration_backtracks_only_when_no_color_is_free(monkeypatch):
 
 
 def test_state_cap_fires_on_the_first_state_past_it():
-    # the walk records a set's last fit without a call of its own; the cap must
-    # fire there too.  Under tar at floor <= 1 the last state in lexicographic
-    # order is {n-1}, such a leaf, so max_states = N - 1 overflows on a leaf
+    # the cap fires on the state that passes it, even the walk's very last one:
+    # under tar at floor <= 1 that is {n-1}, the last set in lexicographic order,
+    # so max_states = N - 1 overflows only as the walk ends
     rng = random.Random(53)
     for _ in range(30):
         n = rng.randint(1, 8)
@@ -436,7 +491,7 @@ def test_distance_and_report_enumerate_through_the_public_walker(monkeypatch):
 
 def _reference_distance(rep, c, start, target, k, rule):
     """Distance and steps by a one-sided BFS over the enumerated states, whose steps are
-    found by looking up each state XOR every one-step move."""
+    found by looking up each state XOR every one-step move, in move order."""
     n = rep.n
     size = k if rule == "tar" else len(start)
     space = build_state_space(rep, c, size, rule)
@@ -446,7 +501,7 @@ def _reference_distance(rep, c, start, target, k, rule):
         moves = [1 << u | 1 << v for u, v in combinations(range(n), 2)
                  if rule == "tj" or rep.has_edge(u, v)]
     index = space.index
-    adj = [sorted(index[mask ^ move] for move in moves if mask ^ move in index)
+    adj = [[index[mask ^ move] for move in moves if mask ^ move in index]
            for mask in space.states]
     src, dst = (index[sum(1 << v for v in s)] for s in (start, target))
     parent = core.bfs(src, adj.__getitem__, dst)
