@@ -187,12 +187,18 @@ def model_from_intervals(endpoints):
     the current one closes clique t+1, which every left-end coordinate consumed
     in that step opens.  That rule closes exactly the maximal cliques, in path
     order, so no containment filtering is needed.  A vertex's run is read off
-    the cliques its two coordinates open and close.
+    the cliques its two coordinates open and close; ``parse_document`` hands the
+    coordinates of a canonical body to ``_clique_path``, with no pair list.
     """
     ls = [l for l, _ in endpoints]
     rs = [r for _, r in endpoints]
     for v in compress(count(), map(gt, ls, rs)):  # reached only to name the first bad pair
         raise InvariantError(f"malformed endpoint pair for vertex {v}: ({ls[v]}, {rs[v]})")
+    return _clique_path(ls, rs)
+
+
+def _clique_path(ls, rs):
+    """``model_from_intervals`` on parallel coordinate lists already checked ``l <= r``."""
     opens, closes = {}, {}  # coordinate -> clique index
     starts = sorted(set(ls))
     starts.append(float("inf"))  # above every right end, so the sweep needs no bounds test

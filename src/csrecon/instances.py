@@ -6,7 +6,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .core import (
     FormatError,
@@ -14,6 +14,7 @@ from .core import (
     IntervalModel,
     InvariantError,
     SplitModel,
+    _clique_path,
     check_sets,
     make_tracker,
     model_from_intervals,
@@ -22,13 +23,15 @@ from .core import (
 FORMAT_TAG = "csr/1"
 RULES = ("tar", "tj", "ts")
 REPRS = ("intervals", "edges", "split")
-# a pair body as render_instance writes it: two ASCII-digit tokens and one space a line
-_CANONICAL_PAIRS = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*")
+# where a pair body as render_instance writes it may end: digits, spaces and whole lines
+_PAIR_LINES = re.compile(r"[0-9 \n]*[0-9](?=\n|\Z)")
+_LONG_SET_LINE = re.compile(r"[0-9 ]{129,}")  # a set line JSON reads faster than int() does
 # a sequence as render_sequence writes it, its vertices >= 0: all +v/-v steps or all u>v
 _CANONICAL_SEQUENCE = re.compile(r"start:(?: [0-9]+)*\n(?:(?:[+-][0-9]+\n)*|(?:[0-9]+>[0-9]+\n)*)")
 # canonical text as the inside of a JSON list of its ints, and as the signs of its +/- steps
 _COMMAS = str.maketrans({" ": ",", "\n": ",", ">": ",", "+": None, "-": None})
 _SIGNS = str.maketrans(dict.fromkeys("0123456789 \n"))
+_SPACING = str.maketrans(dict.fromkeys("0123456789"))  # canonical pair lines read " \n" each
 
 
 @dataclass
@@ -155,6 +158,11 @@ def _int(val, lineno, what):
 
 
 def _vertex_list(val, lineno):
+    if _LONG_SET_LINE.fullmatch(val):
+        try:  # JSON refuses a leading zero, a doubled space and a token past int()'s digit limit
+            return json.loads(f"[{val.replace(' ', ',')}]")
+        except ValueError:
+            pass
     tokens = val.split()
     try:
         return list(map(int, tokens))
@@ -202,10 +210,11 @@ class _Vertices(dict):
         return vertex
 
 
-def _canonical_pairs(chunk, vertex_count=None):
-    """The pairs on ``chunk``'s raw lines, read in one pass; None unless the
-    lines are canonical and pass the checks of ``_pairs``."""
-    if not _CANONICAL_PAIRS.fullmatch(body := "\n".join(chunk)):
+def _canonical_pairs(body, count, vertex_count=None):
+    """The left and the right ends of the pairs on ``body``, read in one pass; None unless
+    it is ``count`` lines of two ASCII-digit tokens and one space that pass ``_pairs``'s checks."""
+    spacing = body.translate(_SPACING) + "\n"
+    if len(spacing) != 2 * count or spacing != " \n" * count:  # count comes from the text
         return None
     try:  # int() refuses a token past sys.get_int_max_str_digits(), JSON also a leading zero
         ints = (json.loads(f"[{body.translate(_COMMAS)}]") if vertex_count is None
@@ -214,7 +223,7 @@ def _canonical_pairs(chunk, vertex_count=None):
         return None
     ls, rs = ints[::2], ints[1::2]
     ok = all(map(operator.le, ls, rs)) if vertex_count is None else max(ints) < vertex_count
-    return zip(ls, rs) if ok else None
+    return (ls, rs) if ok and len(ints) == 2 * count else None  # split() drops empty tokens
 
 
 class _Fields(dict):
@@ -234,9 +243,11 @@ def parse_document(text):
     One pass reads the header up to and including ``body:``, the body (taken
     whole before it is parsed, so a short one is reported as ending early), and
     the trailing fields, kept raw for keys like reduction sources' I/I2/P/P2/s/t.
-    A canonical pair body is read in one pass, any other line by line.
+    A canonical pair body is read in one pass, any other line by line; a canonical
+    intervals body right after the first bare ``body:`` line is not split into lines.
     """
-    raw = text.splitlines()
+    at = text.find("\nbody:\n") + 7 if "\nbody:\n" in text else len(text)
+    raw = text[:at].splitlines()  # up to the first bare 'body:' line; the rest when needed
     numbered = enumerate(raw, start=1)
     lines = _entries(numbered)
     last = next(_entries(zip(range(len(raw), 0, -1), reversed(raw))), (0,))[0]
@@ -260,13 +271,23 @@ def parse_document(text):
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
 
+    block = kind == "intervals" and header["body"][1] == len(raw) and _PAIR_LINES.match(text, at)
+    before = 0  # raw[0] is line before + 1
+    if coords := block and _canonical_pairs(block[0], n):
+        before, raw = len(raw) + n, text[block.end() + 1:].splitlines()
+        lines = _entries(enumerate(raw, start=before + 1))
+    else:  # ``numbered``, a list iterator, reads on into the lines appended
+        raw += text[at:].splitlines()
+    last = before + next(_entries(zip(range(len(raw), 0, -1), reversed(raw))), (0,))[0]
+
     def read_pairs(after, count, what, vertex_count=None):
         """The ``count`` pairs on the lines after line ``after``."""
         chunk = raw[after:after + count]
-        if len(chunk) < count or (pairs := _canonical_pairs(chunk, vertex_count)) is None:
+        ends = len(chunk) == count and _canonical_pairs("\n".join(chunk), count, vertex_count)
+        if not ends:
             return _pairs(_body_lines(lines, count, what, last), vertex_count)
         next(islice(numbered, count, count), None)  # the entries resume after them
-        return pairs
+        return zip(*ends)
 
     def read_graph():
         ((lineno, line),) = _body_lines(lines, 1, "edge count", last)
@@ -276,7 +297,9 @@ def parse_document(text):
         return Graph(n, read_pairs(lineno, m, "edges", n))
 
     try:
-        if kind == "intervals":
+        if coords:
+            representation = _clique_path(*coords)
+        elif kind == "intervals":
             representation = model_from_intervals(
                 list(read_pairs(header["body"][1], n, "interval endpoints")))
         elif kind == "edges":
@@ -319,9 +342,7 @@ def parse_instance(text):
 
 
 def _set_line(key, members):
-    if not members:
-        return f"{key}:"
-    return f"{key}: " + " ".join(str(v) for v in sorted(members))
+    return f"{key}:" + " %d" * len(members) % tuple(sorted(members))
 
 
 def render_instance(inst):
@@ -352,9 +373,12 @@ def render_instance(inst):
 
 
 def render_sequence(seq):
-    out = [_set_line("start", seq.start)]
-    out.extend(f"{s[1]}>{s[2]}" if s[0] == ">" else f"{s[0]}{s[1]}" for s in seq.steps)
-    return "\n".join(out) + "\n"
+    steps, shape = seq.steps, set(map(len, seq.steps))
+    if len(shape) == 1:  # one step shape: one C-level format call; %.0s skips a swap's '>'
+        lines = ("\n%s%d" if 2 in shape else "\n%.0s%d>%d") * len(steps) % tuple(chain(*steps))
+    else:
+        lines = "".join(f"\n{s[1]}>{s[2]}" if s[0] == ">" else f"\n{s[0]}{s[1]}" for s in steps)
+    return _set_line("start", seq.start) + lines + "\n"
 
 
 def parse_sequence(text):

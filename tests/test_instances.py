@@ -23,7 +23,9 @@ from csrecon import (
     parse_sequence,
     render_instance,
     render_sequence,
+    shortest_tar_sequence,
     tar_distance,
+    tar_to_tj,
     verify_sequence,
 )
 from csrecon.generators import (
@@ -225,6 +227,26 @@ def test_parsed_interval_instance_holds_each_interval_once():
     assert inst.endpoints is None
 
 
+def test_canonical_intervals_parse_in_under_250_bytes_a_vertex():
+    # the benchmark's 1e5 intervals: coordinates up to 2n, runs of at most 6; a list of
+    # the text's lines or of its (l, r) pairs alone would take the peak past the bound
+    n = 100_000
+    rng = random.Random(5)
+    endpoints = random_endpoints(rng, n, coord_max=2 * n, max_len=6)
+    model = model_from_intervals(endpoints)
+    start, target = greedy_set(model, 2, rng), greedy_set(model, 2, rng)
+    text = render_instance(Instance(model, "tar", 2, 0, start, target, endpoints=endpoints))
+    del endpoints, model, start, target
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * n, peak / n
+
+
 def test_interval_instance_without_endpoints_renders_its_runs(
         e1_model, e2_model, e3_model, e4_model, e5_model):
     models = [e1_model, e2_model, e3_model, e4_model, e5_model,
@@ -319,6 +341,7 @@ LONG_TOKEN = "9" * 5000
     (CANONICAL_EDGES, "1 2\n", "1 1\n", "loop at vertex 1"),
     (CANONICAL_EDGES, "2 3\n", "2 0\n", "parallel edge (0, 2)"),
     (CANONICAL_EDGES, "2 3\n", f"2 {LONG_TOKEN}\n", "line 12: expected two integers (edge)"),
+    (CANONICAL_EDGES, "0 2\n", "0 \n", "line 10: expected two integers (edge)"),
     (CANONICAL_EDGES, "body:\n4", "body:\n5", "line 13: expected two integers (edge)"),
     (CANONICAL_EDGES, "body:\n4", "body:\n9", "line 14: body ended early while reading edges"),
     (CANONICAL_SPLIT, "2 3\n", "3 4\n", "line 13: edge vertex out of range: 3 4"),
@@ -331,9 +354,9 @@ LONG_TOKEN = "9" * 5000
     (CANONICAL_INTERVALS, "n: 3", "n: 4", "line 11: expected two integers (interval endpoints)"),
     (CANONICAL_INTERVALS, "n: 3", "n: 9",
      "line 12: body ended early while reading interval endpoints"),
-], ids=["edges-range", "edges-loop", "edges-parallel", "edges-long-token", "edges-count-past-body",
-        "edges-count-past-text", "split-range", "split-loop", "split-parallel",
-        "split-count-past-text", "intervals-reversed", "intervals-long-token",
+], ids=["edges-range", "edges-loop", "edges-parallel", "edges-long-token", "edges-empty-token",
+        "edges-count-past-body", "edges-count-past-text", "split-range", "split-loop",
+        "split-parallel", "split-count-past-text", "intervals-reversed", "intervals-long-token",
         "intervals-n-past-body", "intervals-n-past-text"])
 def test_malformed_canonical_bodies_keep_their_messages(text, old, new, message):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7 and later
@@ -344,6 +367,52 @@ def test_malformed_canonical_bodies_keep_their_messages(text, old, new, message)
     with pytest.raises(FormatError) as info:
         parse_instance(text.replace(old, new, 1))
     assert str(info.value) == message
+
+
+def _outcome(parse, text):
+    """What parsing ``text`` yields in comparable form, or the message it raises."""
+    try:
+        inst = parse(text)
+    except (FormatError, InvariantError) as exc:
+        return str(exc)
+    return _parsed(inst), inst.rule, inst.c, inst.k, inst.start, inst.target
+
+
+def test_intervals_read_from_the_text_read_as_the_per_line_path_reads_them(monkeypatch):
+    """An intervals body of n canonical lines right after a bare 'body:' line is
+    decoded from the text, with no list of lines or pairs; any text around it reads as
+    the per-line path reads it, messages and line numbers included.  'body:  # x'
+    sends a text line by line without moving a line."""
+    per_line = []
+    real = instances.model_from_intervals
+    monkeypatch.setattr(instances, "model_from_intervals",
+                        lambda pairs: per_line.append(1) or real(pairs))
+    edits = [
+        ("", ""), ("\nrepr:", "  # r\nrepr:"), ("\nS:", "\n\n# c\n\nS:"),
+        ("\nS:", "\n5 6\nS:"), ("\nS:", "\n5 6x\nS:"), ("\nS:", "\n7\nS:"),
+        ("\nS:", "\nS: 0\nS:"), ("\nS2:", "\nS3:"), ("\nS:", "\njunk\nS:"),
+        ("\nS2:", "\r\nS2:"), ("\nS:", " \nS:"), ("\nS:", "\t\nS:"), ("\nS:", "\r\nS:"),
+        ("body:\n", "body:\n\n"), ("body:\n", "body:\n0"), ("body:\n", "body:\n# c\n"),
+        ("format: csr/1\n", "format: csr/1\nbody:\n"), ("format", "body: 1\nformat"),
+    ]
+    rng = random.Random(91)
+    for i in range(150):
+        inst = random_interval_instance(rng, rng.randint(1, 30), rng.randint(1, 3),
+                                        rule=rng.choice(("tar", "tj")))
+        text = render_instance(inst)
+        n = inst.n
+        old, new = edits[i % len(edits)] if i < 2 * len(edits) else rng.choice(edits + [
+            (f"n: {n}", f"n: {n - 1}"), (f"n: {n}", f"n: {n + 1}"), (f"n: {n}", "n: 0")])
+        assert old in text
+        text = text.replace(old, new, 1)
+        for edited in (text, text[:-1], text.replace("\n", "\r\n", 3)):
+            per_line.clear()
+            fast = _outcome(parse_instance, edited)
+            canonical = not old and edited == text
+            assert not (canonical and per_line)
+            slow = _outcome(parse_instance, edited.replace("\nbody:\n", "\nbody:  # x\n", 1))
+            assert fast == slow, edited
+            assert per_line or not canonical
 
 
 def test_extra_trailing_keys_are_preserved_for_sources():
@@ -463,6 +532,114 @@ def test_canonical_sequences_parse_like_the_per_line_path(monkeypatch):
             seq = parse_sequence(text)
             assert (seq.start, seq.steps) == ({0, 3}, want), text
         assert per_line, text
+
+
+def _vertex_list_per_token(val, lineno):
+    """Set lines as map(int, split()) reads them, the first bad token named."""
+    tokens = val.split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(f"bad vertex {instances._quoted(tok)}", lineno) from None
+
+
+def _set_values(rng):
+    """Set-line values on both sides of the length past which JSON reads them: sorted
+    sets, vertex 0 first, and path orders as P:/P2: lines hold, each also with one
+    token or space edited into a form int() and JSON read apart."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    long_token = "9" * max(limit + 1, 5000)
+    for i in range(60):
+        top = rng.choice((12, 120, 3000, 10 ** 6))
+        members = sorted(rng.sample(range(top), rng.randint(1, min(top, 400))))
+        if i % 3 == 1:
+            members = [0] + [v for v in members if v]
+        elif i % 3 == 2:
+            rng.shuffle(members)
+        tokens = list(map(str, members))
+        yield " ".join(tokens)
+        j = rng.randrange(len(tokens))
+        for token in ("0" + tokens[j], "+3", "1_0", "-3", "1.0", "1e3", "null", "٣", long_token):
+            yield " ".join(tokens[:j] + [token] + tokens[j + 1:])
+        yield " ".join(tokens).replace(" ", rng.choice(("\t", "  ", " ,", " \u2003")), 1)
+    yield ""
+    yield "0"
+
+
+def test_set_lines_read_as_map_int_reads_them():
+    values = list(_set_values(random.Random(33)))
+    assert {len(val) > 128 for val in values} == {False, True}  # both sides of the cutoff
+    for val in values:
+        try:
+            want = _vertex_list_per_token(val, 4)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                instances._vertex_list(val, 4)
+            assert str(info.value) == str(exc), val
+        else:
+            assert instances._vertex_list(val, 4) == want, val
+
+
+def test_set_lines_of_parsed_files_read_as_map_int_reads_them(monkeypatch):
+    """The K:, S: and S2: lines of rendered split and intervals files, one of them edited
+    (a comment, a tab, a leading zero, '+3', '1_0'), parse as they parse when every set
+    line is read token by token."""
+    rng = random.Random(35)
+    texts = []
+    for i in range(40):
+        make = random_split_instance if i % 2 else random_interval_instance
+        text = render_instance(make(rng, rng.choice((12, 120)), rng.randint(1, 3)))
+        lines = text.splitlines()
+        j = rng.choice([j for j, line in enumerate(lines) if line[:2] in ("K:", "S:", "S2")])
+        key, _, val = lines[j].partition(":")
+        tokens = val.split() or ["0"]
+        t = rng.randrange(len(tokens))
+        tokens[t] = rng.choice(("0" + tokens[t], "+3", "1_0", tokens[t] + "  # edited"))
+        edited = " ".join(tokens)
+        lines[j] = f"{key}: {rng.choice((edited, edited.replace(' ', chr(9), 1)))}"
+        texts += [text, "\n".join(lines) + "\n"]
+    assert any(len(line) > 128 for text in texts for line in text.splitlines())
+    fast = [_outcome(parse_instance, text) for text in texts]
+    monkeypatch.setattr(instances, "_vertex_list", _vertex_list_per_token)
+    assert fast == [_outcome(parse_instance, text) for text in texts]
+
+
+def _render_sequence_per_step(seq):
+    """render_sequence as one f-string a step writes it."""
+    start = " ".join(str(v) for v in sorted(seq.start))
+    out = [f"start: {start}" if seq.start else "start:"]
+    out.extend(f"{s[1]}>{s[2]}" if s[0] == ">" else f"{s[0]}{s[1]}" for s in seq.steps)
+    return "\n".join(out) + "\n"
+
+
+def test_render_sequence_writes_what_one_format_a_step_writes():
+    """Engine sequences (tar steps, and tj swaps), drawn ones (vertex 0 and vertices up
+    to 10^6), empty ones and mixed ones render byte for byte as before and read back."""
+    rng = random.Random(41)
+    seqs = []
+    for _ in range(40):
+        inst = random_interval_instance(rng, rng.randint(1, 40), rng.randint(1, 3))
+        seq = shortest_tar_sequence(inst.representation, inst.c, inst.start, inst.target, inst.k)
+        if seq is not None:
+            seqs += [seq, tar_to_tj(seq)]
+    for _ in range(60):
+        top = rng.choice((1, 9, 10 ** 6))
+        start = set(rng.sample(range(top + 1), rng.randint(0, min(top + 1, 6))))
+        count = rng.choice((0, rng.randint(1, 40)))
+        tar = [(rng.choice("+-"), rng.randint(0, top)) for _ in range(count)]
+        swaps = [(">", rng.randint(0, top), rng.randint(0, top)) for _ in range(count)]
+        seqs += [ReconSequence(start, tar), ReconSequence(start, swaps),
+                 ReconSequence(start, rng.sample(tar + swaps, len(tar + swaps)))]
+    assert any(s.steps and {len(step) for step in s.steps} == {2, 3} for s in seqs)
+    for seq in seqs:
+        text = render_sequence(seq)
+        assert text == _render_sequence_per_step(seq)
+        back = parse_sequence(text)
+        assert (back.start, back.steps) == (set(seq.start), list(seq.steps))
 
 
 @pytest.mark.parametrize("parse, text, message", [
