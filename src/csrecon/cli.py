@@ -7,6 +7,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import random
 import sys
@@ -302,11 +303,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the command runs with the cyclic collector paused, as the library makes no reference
+    # cycles (a test holds it to that); the caller's setting comes back after
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (FormatError, InvariantError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

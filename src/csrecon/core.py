@@ -272,20 +272,21 @@ def _exact_classes(g, members, c, limit=DEFAULT_EXACT_LIMIT):
                 layer = reach & rest
         return sides[:c]
     classes = [0] * c
+    return classes if _extend(verts, nbrs, classes, 0, 0) else None
 
-    def extend(i, used):
-        if i == len(verts):
-            return True
-        v = verts[i]
-        for color in range(min(used + 1, c)):
-            if not classes[color] & nbrs[v]:
-                classes[color] |= 1 << v
-                if extend(i + 1, max(used, color + 1)):
-                    return True
-                classes[color] ^= 1 << v
-        return False
 
-    return classes if extend(0, 0) else None
+def _extend(verts, nbrs, classes, i, used):
+    """Color ``verts[i:]`` into ``classes``, ``used`` of them in use; not a closure, so acyclic."""
+    if i == len(verts):
+        return True
+    v = verts[i]
+    for color in range(min(used + 1, len(classes))):
+        if not classes[color] & nbrs[v]:
+            classes[color] |= 1 << v
+            if _extend(verts, nbrs, classes, i + 1, max(used, color + 1)):
+                return True
+            classes[color] ^= 1 << v
+    return False
 
 
 def check_sets(rep, c, start, target, k, same_size=False):

@@ -26,11 +26,8 @@ REPRS = ("intervals", "edges", "split")
 # where a pair body as render_instance writes it may end: digits, spaces and whole lines
 _PAIR_LINES = re.compile(r"[0-9 \n]*[0-9](?=\n|\Z)")
 _LONG_SET_LINE = re.compile(r"[0-9 ]{129,}")  # a set line JSON reads faster than int() does
-# a sequence as render_sequence writes it, its vertices >= 0: all +v/-v steps or all u>v
-_CANONICAL_SEQUENCE = re.compile(r"start:(?: [0-9]+)*\n(?:(?:[+-][0-9]+\n)*|(?:[0-9]+>[0-9]+\n)*)")
-# canonical text as the inside of a JSON list of its ints, and as the signs of its +/- steps
+# canonical text as the inside of a JSON list of its ints, and without its digits
 _COMMAS = str.maketrans({" ": ",", "\n": ",", ">": ",", "+": None, "-": None})
-_SIGNS = str.maketrans(dict.fromkeys("0123456789 \n"))
 _SPACING = str.maketrans(dict.fromkeys("0123456789"))  # canonical pair lines read " \n" each
 
 
@@ -382,15 +379,25 @@ def render_sequence(seq):
 
 
 def parse_sequence(text):
-    body = text[7:-1]  # after "start:" and the space or newline that ends it
-    try:  # JSON refuses a leading zero, and a token past int()'s digit limit
-        ints = _CANONICAL_SEQUENCE.fullmatch(text) and json.loads(f"[{body.translate(_COMMAS)}]")
-    except ValueError:
-        ints = None
-    if ints is not None:  # canonical text, read in one pass; any other is read line by line
-        size = text.count(" ", 0, text.index("\n"))  # the start line's vertex count
-        steps = (zip(repeat(">"), ints[size::2], ints[size + 1::2]) if ">" in body
-                 else zip(body.translate(_SIGNS), ints[size:]))
+    # as render_sequence writes it, text without its digits reads "start:", a space a start
+    # vertex and "\n", then "+\n" or "-\n" a step, or ">\n" a step: never both kinds
+    spacing = text.translate(_SPACING)
+    head = spacing.find("\n") + 1
+    size, signs = head - 7, spacing[head::2]   # the start set's size, a sign a step
+    tar = not signs.strip("+-")
+    ints = None
+    if (text[:7] in ("start: ", "start:\n") and text[-1] == "\n"
+            and spacing[:head] == "start:" + " " * size + "\n"
+            and spacing[head + 1::2] == "\n" * len(signs)
+            and (text.count("\n+") + text.count("\n-") == len(signs) if tar  # signs open lines
+                 else not signs.strip(">"))):
+        try:  # JSON refuses an empty token, a leading zero, and a token past int()'s limit
+            ints = json.loads(f"[{text[7:-1].translate(_COMMAS)}]")
+        except ValueError:
+            pass
+    if ints is not None and len(ints) == size + len(signs) * (2 - tar):  # else line by line
+        steps = (zip(signs, ints[size:]) if tar
+                 else zip(repeat(">"), ints[size::2], ints[size + 1::2]))
         return ReconSequence(set(ints[:size]), list(steps))
     entries = _entries(enumerate(text.splitlines(), start=1))
     lineno, line = next(entries, (1, None))

@@ -8,15 +8,14 @@ outside it.  If either set is locked in the whole graph no move applies at
 all.  All checks reduce to per-clique member counts, so the distance comes
 out in time linear in the model size.  An explicit shortest sequence takes
 O(n + t + d log d) for t cliques and d = |S Δ S2|, since its build sorts the
-difference once by right end and each side's part once by left end;
-bucketing by clique index and sorting int keys were measured and gained too
-little for the code they cost.
+difference once by right end and each side's part once by left end, each a
+stable sort by key of vertices in ascending order; bucketing by clique index
+was measured and gained too little for the code it cost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from .core import InvariantError, check_sets, make_tracker
 from .instances import ReconSequence, tar_to_tj
@@ -105,19 +104,21 @@ def shortest_tar_sequence(model, c, start, target, k, verdict=None):
             out.append(("+", v))
             other_only.discard(v)
     lefts, rights = model.lefts, model.rights
-    # each side's unsettled vertices in (left end, vertex) order
-    by_l_a, by_l_b = (filter(only.__contains__,
-                             [v for _, v in sorted(zip(map(lefts.__getitem__, only), only))])
+    # each side's unsettled vertices in (left end, vertex) order: stable sorts by key
+    by_l_a, by_l_b = (filter(only.__contains__, sorted(sorted(only), key=lefts.__getitem__))
                       for only in (a_only, b_only))
-    sides = ((b_only, a_only, by_l_a, prefix), (a_only, b_only, by_l_b, suffix))
-    for _, side, x in sorted([*zip(map(rights.__getitem__, b_only), repeat(0), b_only),
-                              *zip(map(rights.__getitem__, a_only), repeat(1), a_only)]):
-        own, other, by_l, out = sides[side]
-        if x in own and other:
-            u = next(by_l)
-            out += (("-", u), ("+", x))
-            own.discard(x)
-            other.discard(u)
+    # (right end, target's side first, vertex) order
+    for x in sorted([*sorted(b_only), *sorted(a_only)], key=rights.__getitem__):
+        if x in b_only and a_only:
+            u = next(by_l_a)
+            prefix += (("-", u), ("+", x))
+            b_only.discard(x)
+            a_only.discard(u)
+        elif x in a_only and b_only:
+            u = next(by_l_b)
+            suffix += (("-", u), ("+", x))
+            a_only.discard(x)
+            b_only.discard(u)
     prefix += [("+", v) for v in sorted(b_only)]
     prefix += [("-", v) for v in sorted(a_only)]
     prefix += [("-", v) if op == "+" else ("+", v) for op, v in reversed(suffix)]

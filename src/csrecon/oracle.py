@@ -115,27 +115,29 @@ def enumerate_colorable_sets(g_or_model, c, min_size=0, exact_size=None, max_sta
     210 ``can_add`` tests).
     """
     masks = []
-    tracker = make_tracker(g_or_model, (), c)
-    record, can_add, add, remove = masks.append, tracker.can_add, tracker.add, tracker.remove
     floor = min_size if exact_size is None else max(min_size, exact_size)
-
-    def grow(mask, size, candidates):
-        if size >= floor:
-            record(mask)
-            if max_states is not None and len(masks) > max_states:
-                raise ResourceLimitError(_TOO_MANY.format(max_states))
-        if size == exact_size:
-            return
-        fits = list(filter(can_add, candidates))
-        # adding fits[i] leaves len(fits) - i - 1 candidates, which must reach the floor
-        for i in range(len(fits) - max(0, floor - size - 1)):
-            v = fits[i]
-            add(v)
-            grow(mask | 1 << v, size + 1, fits[i + 1:])
-            remove(v)
-
-    grow(0, 0, range(g_or_model.n))
+    _grow(masks, make_tracker(g_or_model, (), c), floor, exact_size, max_states,
+          0, 0, range(g_or_model.n))
     return masks
+
+
+def _grow(masks, tracker, floor, exact_size, max_states, mask, size, candidates):
+    """Record ``mask``, the set ``tracker`` holds, then walk its extensions by the fitting
+    ``candidates``: a plain function, not a closure, so that no walk leaves a reference cycle."""
+    if size >= floor:
+        masks.append(mask)
+        if max_states is not None and len(masks) > max_states:
+            raise ResourceLimitError(_TOO_MANY.format(max_states))
+    if size == exact_size:
+        return
+    fits = list(filter(tracker.can_add, candidates))
+    # adding fits[i] leaves len(fits) - i - 1 candidates, which must reach the floor
+    for i in range(len(fits) - max(0, floor - size - 1)):
+        v = fits[i]
+        tracker.add(v)
+        _grow(masks, tracker, floor, exact_size, max_states, mask | 1 << v, size + 1,
+              fits[i + 1:])
+        tracker.remove(v)
 
 
 def _guard(n, rule, max_n):

@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, answer lines, files."""
 from __future__ import annotations
 
+import gc
+import io
 import os
 import random
 import re
@@ -8,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from csrecon import (
     render_instance,
     verify_sequence,
 )
+from csrecon import cli
 from csrecon.cli import build_parser, main
 from csrecon.generators import greedy_set, random_endpoints
 
@@ -633,6 +637,81 @@ def test_oracle_paths_validate_the_sets_once(tmp_path, capsys, monkeypatch):
     ts = _write(tmp_path, "ts.csr", E1.replace("rule: tar", "rule: ts").replace("k: 1", "k: 0"))
     assert main(["solve", ts]) == 0 and capsys.readouterr().out.strip() == "2"
     assert len(calls) == 2
+
+
+def _sweep_argvs(tmp_path):
+    """Seeded commands on files of at most 10 vertices: each representation under each
+    rule at c = 1..3 through gen, solve, distance, oracle, oracle --report and verify,
+    then the report of a 3-colourable edge list with 739 states."""
+    argvs = []
+    for rep in ("interval", "split", "edges"):
+        for rule in ("tar", "tj", "ts"):
+            for c in (1, 2, 3):
+                base = str(tmp_path / f"{rep}-{rule}-{c}")
+                argvs += [["gen", "--repr", rep, "--n", "8", "--c", str(c), "--rule", rule,
+                           "--seed", "3", "--out", base + ".csr"],
+                          ["solve", base + ".csr", "--emit-sequence", "--out", base + ".seq"],
+                          ["distance", base + ".csr"],
+                          ["oracle", base + ".csr", "--emit-sequence", "--out", base + ".oseq"],
+                          ["oracle", base + ".csr", "--report"],
+                          ["verify", base + ".csr", base + ".seq"],
+                          ["verify", base + ".csr", base + ".oseq"]]
+    big = str(tmp_path / "edges-10.csr")
+    return argvs + [["gen", "--repr", "edges", "--n", "10", "--c", "3", "--seed", "7",
+                     "--out", big], ["oracle", big, "--report"]]
+
+
+def test_commands_leave_no_reference_cycles(tmp_path):
+    """With the collector paused, reference counting alone frees what a command makes:
+    a collection after the sweep finds nothing unreachable.  argparse's own cycles are
+    made by parse_args, which runs before the pause, as in main."""
+    parsed = [build_parser().parse_args(argv) for argv in _sweep_argvs(tmp_path)]
+    codes = []
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # a collection keeps what it finds in gc.garbage
+    try:
+        for args in parsed:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    codes.append(args.func(args))
+                except (core.FormatError, core.InvariantError, core.ResourceLimitError,
+                        OSError):  # main's exit 2; a sequence solve did not write
+                    codes.append(2)
+        gc.collect()
+        # the functions caught in cycles name them: a self-referencing closure, say
+        cycles = len(gc.garbage), sorted({obj.__qualname__ for obj in gc.garbage
+                                          if type(obj) is type(_sweep_argvs)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert set(codes) == {0, 1, 2} and codes.count(0) > len(codes) // 2
+    assert cycles == (0, [])
+
+
+@pytest.mark.parametrize("text, code", [(E1, 0), (E2, 1), (None, 2)],
+                         ids=["reachable", "unreachable", "missing-file"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch,
+                                                   text, code, collecting):
+    path = _write(tmp_path, "inst.csr", text) if text else str(tmp_path / "absent.csr")
+    during = []
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda p: during.append(gc.isenabled()) or read(p))
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["solve", path]) == code
+        after = gc.isenabled()
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert during == [False] and after == collecting
 
 
 def test_cli_digest_tool_runs_and_is_deterministic():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import re
 import sys
@@ -532,6 +533,83 @@ def test_canonical_sequences_parse_like_the_per_line_path(monkeypatch):
             seq = parse_sequence(text)
             assert (seq.start, seq.steps) == ({0, 3}, want), text
         assert per_line, text
+
+
+# how parse_sequence recognised canonical text before it compared strings instead
+_CANONICAL_SEQUENCE = re.compile(r"start:(?: [0-9]+)*\n(?:(?:[+-][0-9]+\n)*|(?:[0-9]+>[0-9]+\n)*)")
+_JSON_COMMAS = str.maketrans({" ": ",", "\n": ",", ">": ",", "+": None, "-": None})
+
+
+def _one_pass_by_regex(text):
+    """Whether the regex, then JSON, let ``text`` be read in one pass."""
+    if not _CANONICAL_SEQUENCE.fullmatch(text):
+        return False
+    try:
+        json.loads(f"[{text[7:-1].translate(_JSON_COMMAS)}]")
+    except ValueError:  # a leading zero, or a token past int()'s digit limit
+        return False
+    return True
+
+
+def test_sequence_text_is_read_in_one_pass_exactly_where_the_regex_allowed_it(monkeypatch):
+    """Seeded rendered sequences, the hand-edited forms, and seeded one-character edits of
+    both: the string comparisons take the one-pass path on exactly the texts the regex and
+    JSON took it on, and what that path reads is what the per-line path reads."""
+    per_line = []
+    real_entries = instances._entries
+    monkeypatch.setattr(instances, "_entries",
+                        lambda numbered: per_line.append(1) or real_entries(numbered))
+    rng = random.Random(45)
+    texts = list(_seeded_sequences(rng)) + [
+        "# edited\n" + TAR_SEQUENCE, TAR_SEQUENCE.replace("+7\n", "+7 # edited\n"),
+        TAR_SEQUENCE.replace("+5", "+\t5"), SWAP_SEQUENCE.replace("\n", "\r\n"),
+        TAR_SEQUENCE.replace("+7", "+07"), SWAP_SEQUENCE.replace("0>5", "-0>5"),
+        SWAP_SEQUENCE.replace("0>5", "+0>5"), TAR_SEQUENCE.replace("+5", "+ 5"),
+        TAR_SEQUENCE.replace("-3\n", "3>9\n"), SWAP_SEQUENCE.replace("3>7", "+3"),
+        SWAP_SEQUENCE.replace("3>7", f"3>{LONG_TOKEN}"),
+        TAR_SEQUENCE.replace("+7", f"+{LONG_TOKEN}"),
+        TAR_SEQUENCE + "\n", SWAP_SEQUENCE[:-1], "start:1\n", "start:1 2\n+3\n", "start: \n",
+        "start: 1 \n", "start:  1\n", "start:\n+\n", "start:\n>1\n", "start:", "",
+    ]
+    for text in texts[:]:  # one character inserted, dropped or replaced
+        for _ in range(8):
+            i = rng.randrange(len(text) + 1)
+            char = rng.choice("0123 \n+->\t\r#:s")
+            texts.append(rng.choice((text[:i] + char + text[i:], text[:i] + text[i + 1:],
+                                     text[:i] + char + text[i + 1:])))
+    one_pass = 0
+    for text in texts:
+        per_line.clear()
+        try:
+            seq = parse_sequence(text)
+        except FormatError:
+            seq = None
+        assert (not per_line) == _one_pass_by_regex(text), repr(text)
+        if not per_line:
+            one_pass += 1
+            slow = parse_sequence("# edited\n" + text)  # a leading comment goes line by line
+            assert (seq.start, seq.steps) == (slow.start, slow.steps), repr(text)
+    assert 200 < one_pass < len(texts) - 500
+
+
+@pytest.mark.parametrize("kind", ["+-", ">"])
+def test_parse_sequence_allocates_a_few_bytes_an_int_beyond_its_result(kind):
+    """A 100,000-step canonical sequence: the text's translations and the int list JSON
+    decodes, freed on return, stay under 28 bytes an int read (one a +/- step, two a swap);
+    with the regex check's group repeats this read about 46."""
+    rng = random.Random(47)
+    n = 100_000
+    steps = [(rng.choice(kind), rng.randrange(n)) if kind == "+-" else
+             (">", rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    text = render_sequence(ReconSequence({1, 2, 3}, steps))
+    tracemalloc.start()
+    try:
+        seq = parse_sequence(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.steps == steps
+    assert peak - kept < 28 * (3 + n * len(steps[0][1:]))
 
 
 def _vertex_list_per_token(val, lineno):
